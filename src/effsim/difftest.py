@@ -16,21 +16,19 @@ translation theorems' precondition).  Reports are JSON-ready records:
 import random
 
 from .core import (
-    Leaf, bind, seq, get, put, fail, or_, mget, update, restore,
-    tree_map, swap,
+    Leaf, Node, Or, MUpdate, bind, seq, get, put, fail, or_, mget, update,
+    restore, fold, swap,
 )
 from .handlers import (
-    Undo, INT_UNDO, h_nd, h_state, h_modify, h_ndf, h_nil,
-    h_local, h_global, h_local_m, h_global_m, h_global_t, h_states,
+    Undo, INT_UNDO, h_nd, h_state, h_modify, h_ndf, h_nil, h_local, h_global,
+    h_states,
 )
 from .translations import (
-    local2global, nondet2state_s, nondet2state, run_nd, run_ndf,
-    states2state, alpha, simulate, local2global_m, local2trail, untrail,
-    push_stack, pop_s, push_s, append_s, ChoiceState, MARKER, left,
-    simulate_t,
+    local2global, nondet2state_s, run_nd, run_ndf, states2state, alpha,
+    local2global_m, local2trail, untrail, push_stack, pop_s, push_s,
+    append_s, ChoiceState, MARKER, left,
 )
-from .machines import simulate_f, simulate_tf
-from .queens import q_plus, q_minus
+from .queens import RUNNERS, q_plus, q_minus
 
 
 # ---------------------------------------------------------------------------
@@ -318,87 +316,61 @@ SS2 = {"state": 0, "modify_as_state": 1, "nondet": 2}  # two state families
 # Theorems.
 # ---------------------------------------------------------------------------
 
-THEOREM_IDS = (
-    "T-localglobal", "T-nondetstateS", "T-nondetstate", "T-statesstate",
-    "T-simulate", "T-fusedF", "T-modify", "T-trail", "T-simulateT",
-    "T-fusedTF",
-)
+def _runner(name, undo=INT_UNDO):
+    """queens.RUNNERS[name] as a theorem side: a function of (tree, s0)."""
+    return lambda t, s0: RUNNERS[name](t, s0, undo)
 
 
-def _theorem_sides(ident, ast, s0, local2global_impl=local2global,
-                   local2trail_impl=local2trail, undo=INT_UNDO):
-    if ident == "T-localglobal":
-        t = lower(ast, SN)
-        return (h_nil(h_local(lower(ast, SN), s0)),
-                h_nil(h_global(local2global_impl(t), s0)))
-    if ident == "T-nondetstateS":
-        t = lower(ast, {"nondet": 0})
-        return (h_nd(t), run_nd(lower(ast, {"nondet": 0})))
-    if ident == "T-nondetstate":
-        t1 = lower(ast, NS)
-        t2 = lower(ast, NS)
-        return (h_nil(h_state(h_ndf(t1), s0)),
-                h_nil(h_state(run_ndf(t2), s0)))
-    if ident == "T-statesstate":
-        t1 = lower(ast, SS2)
-        t2 = lower(ast, SS2)
-        s12 = (s0, s0 + 1)
-        lhs = [alpha(v) for v in h_nd(h_states(t1, s12[0], s12[1]))]
-        rhs = h_nd(h_state(states2state(t2), s12))
-        return (lhs, rhs)
-    if ident == "T-simulate":
-        return (h_nil(h_local(lower(ast, SN), s0)),
-                h_nil(simulate(lower(ast, SN), s0)))
-    if ident == "T-fusedF":
-        return (h_nil(simulate(lower(ast, SN), s0)),
-                h_nil(simulate_f(lower(ast, SN), s0)))
-    if ident == "T-modify":
-        return (h_nil(h_local_m(lower(ast, MN), s0, undo)),
-                h_nil(h_global_m(local2global_m(lower(ast, MN)), s0, undo)))
-    if ident == "T-trail":
-        t = lower(ast, MN)
-        u = local2trail_impl(t)
-        w = h_modify(h_ndf(swap(u)), s0, undo)
-        w = tree_map(w, lambda pair: pair[0])
-        w = tree_map(h_state(w, []), lambda pair: pair[0])
-        return (h_nil(h_local_m(lower(ast, MN), s0, undo)), h_nil(w))
-    if ident == "T-simulateT":
-        return (h_nil(h_local_m(lower(ast, MN), s0, undo)),
-                h_nil(simulate_t(lower(ast, MN), s0, undo)))
-    if ident == "T-fusedTF":
-        return (h_nil(simulate_t(lower(ast, MN), s0, undo)),
-                h_nil(simulate_tf(lower(ast, MN), s0, undo)))
-    raise ValueError("unknown theorem id %r" % (ident,))
+_SN = (("state", "nondet"), SN)   # (families, layout) of a state row
+_MN = (("modify", "nondet"), MN)  # ... and of a modify row
 
-
-_THEOREM_FAMILIES = {
-    "T-localglobal": ("state", "nondet"),
-    "T-nondetstateS": ("nondet",),
-    "T-nondetstate": ("state", "nondet"),
-    "T-statesstate": ("state", "modify", "nondet"),
-    "T-simulate": ("state", "nondet"),
-    "T-fusedF": ("state", "nondet"),
-    "T-modify": ("modify", "nondet"),
-    "T-trail": ("modify", "nondet"),
-    "T-simulateT": ("modify", "nondet"),
-    "T-fusedTF": ("modify", "nondet"),
+# Each translation theorem as (families, layout, lhs, rhs): random programs
+# over the families, lowered at the layout, must give equal sides.
+THEOREMS = {
+    "T-localglobal": _SN + (_runner("local"), _runner("global")),
+    "T-nondetstateS": (("nondet",), {"nondet": 0}, _runner("naive"),
+                       lambda t, s0: run_nd(t)),
+    "T-nondetstate": (("state", "nondet"), NS,
+                      lambda t, s0: h_nil(h_state(h_ndf(t), s0)),
+                      lambda t, s0: h_nil(h_state(run_ndf(t), s0))),
+    "T-statesstate": (("state", "modify", "nondet"), SS2,
+                      lambda t, s0: [alpha(v) for v in
+                                     h_nd(h_states(t, s0, s0 + 1))],
+                      lambda t, s0: h_nd(h_state(states2state(t),
+                                                 (s0, s0 + 1)))),
+    "T-simulate": _SN + (_runner("local"), _runner("sim")),
+    "T-fusedF": _SN + (_runner("sim"), _runner("fusedF")),
+    "T-modify": _MN + (_runner("localM"), _runner("globalM")),
+    "T-trail": _MN + (_runner("localM"), _runner("globalT")),
+    "T-simulateT": _MN + (_runner("localM"), _runner("simT")),
+    "T-fusedTF": _MN + (_runner("simT"), _runner("fusedTF")),
 }
+
+THEOREM_IDS = tuple(THEOREMS)
+
+
+def _differences(report, row, trials, seed, depth):
+    """Run both sides of a (families, layout, lhs, rhs) row on random
+    programs; record each trial whose sides differ and yield its index."""
+    families, layout, lhs, rhs = row
+    for i in range(trials):
+        ts = _trial_seed(seed, i)
+        s0 = random.Random(ts).randint(-3, 3)
+        ast = gen_program(ts, depth, families)
+        t = lower(ast, layout)  # trees are immutable: both sides share it
+        l, r = lhs(t, s0), rhs(t, s0)
+        if l != r:
+            _record(report, ts, "s0=%d; %s" % (s0, show_ast(ast)), l, r)
+            yield i
 
 
 def check_theorem(ident, trials, seed, depth=6):
     """Compare both sides of a translation theorem on random programs."""
-    if ident not in THEOREM_IDS:
+    if ident not in THEOREMS:
         raise ValueError("unknown theorem id %r" % (ident,))
     report = _report(ident, seed, trials)
-    families = _THEOREM_FAMILIES[ident]
-    for i in range(trials):
-        ts = _trial_seed(seed, i)
-        rng = random.Random(ts)
-        ast = gen_program(ts, depth, families)
-        s0 = rng.randint(-3, 3)
-        lhs, rhs = _theorem_sides(ident, ast, s0)
-        if lhs != rhs:
-            _record(report, ts, "s0=%d; %s" % (s0, show_ast(ast)), lhs, rhs)
+    for _i in _differences(report, THEOREMS[ident], trials, seed, depth):
+        pass
     return report
 
 
@@ -406,14 +378,18 @@ def check_theorem(ident, trials, seed, depth=6):
 # Law suites.
 # ---------------------------------------------------------------------------
 
-LAW_SUITES = ("nondet", "state", "localstate", "globalstate", "undo",
-              "modify")
-
-
 def _ctx(rng, ts, families, layout):
     """A random continuation: an open AST over 'x', lowered per answer."""
     k_ast = gen_program(ts ^ 0x5DEECE66D, 3, families, free_vars=("x",))
     return (lambda a: lower(k_ast, layout, {"x": a})), k_ast
+
+
+def _compare(report, ts, cases, detail):
+    """Record each law case (name, lhs, rhs) whose two sides differ, as
+    "law=<name>; <detail()>"."""
+    for name, lhs, rhs in cases:
+        if lhs != rhs:
+            _record(report, ts, "law=%s; %s" % (name, detail()), lhs, rhs)
 
 
 def _check_nondet_laws(report, ts, rng):
@@ -425,18 +401,13 @@ def _check_nondet_laws(report, ts, rng):
     m = lambda: lower(m_ast, n0)
     n = lambda: lower(n_ast, n0)
     o = lambda: lower(o_ast, n0)
-    cases = [
-        ("identity-left", or_(fail(at=0), m(), at=0), m()),
-        ("identity-right", or_(m(), fail(at=0), at=0), m()),
-        ("assoc", or_(or_(m(), n(), at=0), o(), at=0),
-         or_(m(), or_(n(), o(), at=0), at=0)),
-    ]
-    for name, l, r in cases:
-        lhs = h_nd(bind(l, k))
-        rhs = h_nd(bind(r, k))
-        if lhs != rhs:
-            _record(report, ts, "law=%s; m=%s; k=%s"
-                    % (name, show_ast(m_ast), show_ast(k_ast)), lhs, rhs)
+    run = lambda t: h_nd(bind(t, k))
+    _compare(report, ts, [
+        ("identity-left", run(or_(fail(at=0), m(), at=0)), run(m())),
+        ("identity-right", run(or_(m(), fail(at=0), at=0)), run(m())),
+        ("assoc", run(or_(or_(m(), n(), at=0), o(), at=0)),
+         run(or_(m(), or_(n(), o(), at=0), at=0))),
+    ], lambda: "m=%s; k=%s" % (show_ast(m_ast), show_ast(k_ast)))
 
 
 def _check_state_laws(report, ts, rng):
@@ -448,19 +419,14 @@ def _check_state_laws(report, ts, rng):
     kc = lambda _a: lower(kc_ast, s_fam)  # context for unit-valued laws
     k2_ast = gen_program(ts + 7, 2, ("state",), free_vars=("x", "y"))
     k2 = lambda a, b: lower(k2_ast, s_fam, {"x": a, "y": b})
-    cases = [
-        ("put-put", seq(put(s), put(s2)), put(s2), kc),
-        ("put-get", seq(put(s), get(Leaf)), seq(put(s), Leaf(s)), k),
-        ("get-put", get(lambda v: put(v)), Leaf(()), kc),
-        ("get-get", get(lambda v: get(lambda w: k2(v, w))),
-         get(lambda v: k2(v, v)), k),
-    ]
-    for name, l, r, kk in cases:
-        lhs = h_nil(h_state(bind(l, kk), s0))
-        rhs = h_nil(h_state(bind(r, kk), s0))
-        if lhs != rhs:
-            _record(report, ts, "law=%s; s=%d s'=%d s0=%d; k=%s"
-                    % (name, s, s2, s0, show_ast(k_ast)), lhs, rhs)
+    run = lambda t, kk=k: h_nil(h_state(bind(t, kk), s0))
+    _compare(report, ts, [
+        ("put-put", run(seq(put(s), put(s2)), kc), run(put(s2), kc)),
+        ("put-get", run(seq(put(s), get(Leaf))), run(seq(put(s), Leaf(s)))),
+        ("get-put", run(get(lambda v: put(v)), kc), run(Leaf(()), kc)),
+        ("get-get", run(get(lambda v: get(lambda w: k2(v, w)))),
+         run(get(lambda v: k2(v, v)))),
+    ], lambda: "s=%d s'=%d s0=%d; k=%s" % (s, s2, s0, show_ast(k_ast)))
 
 
 def _check_localstate_laws(report, ts, rng):
@@ -475,51 +441,37 @@ def _check_localstate_laws(report, ts, rng):
     n = lambda: lower(n_ast, SN)
     k1 = lambda a: lower(k1_ast, SN, {"x": a})
     k2 = lambda a: lower(k2_ast, SN, {"x": a})
-    cases = [
-        ("put-right-identity", seq(put(s), fail()), fail()),
-        ("put-left-dist", seq(put(s), or_(m(), n())),
-         or_(seq(put(s), m()), seq(put(s), n()))),
-        ("get-right-identity", seq(get(Leaf), fail()), fail()),
-        ("get-left-dist", get(lambda v: or_(k1(v), k2(v))),
-         or_(get(k1), get(k2))),
-    ]
-    for name, l, r in cases:
-        lhs = h_nil(h_local(bind(l, k), s0))
-        rhs = h_nil(h_local(bind(r, k), s0))
-        if lhs != rhs:
-            _record(report, ts, "law=%s; s=%d s0=%d; m=%s; n=%s; k=%s"
-                    % (name, s, s0, show_ast(m_ast), show_ast(n_ast),
-                       show_ast(k_ast)), lhs, rhs)
+    run = lambda t: h_nil(h_local(bind(t, k), s0))
+    _compare(report, ts, [
+        ("put-right-identity", run(seq(put(s), fail())), run(fail())),
+        ("put-left-dist", run(seq(put(s), or_(m(), n()))),
+         run(or_(seq(put(s), m()), seq(put(s), n())))),
+        ("get-right-identity", run(seq(get(Leaf), fail())), run(fail())),
+        ("get-left-dist", run(get(lambda v: or_(k1(v), k2(v)))),
+         run(or_(get(k1), get(k2)))),
+    ], lambda: "s=%d s0=%d; m=%s; n=%s; k=%s" % (
+        s, s0, show_ast(m_ast), show_ast(n_ast), show_ast(k_ast)))
 
 
-def _check_globalstate_laws(report, ts, rng, counterexample_box):
+def _check_globalstate_laws(report, ts, rng):
     s = rng.randint(-3, 3)
     s0 = rng.randint(-3, 3)
     m_ast = gen_program(ts, 3, ("state", "nondet"))
     n_ast = gen_program(ts + 1, 3, ("state", "nondet"))
     k, k_ast = _ctx(rng, ts, ("state", "nondet"), SN)
-    m = lambda: lower(m_ast, SN)
-    n = lambda: lower(n_ast, SN)
-    l = or_(seq(put(s), m()), n())
-    r = seq(put(s), or_(m(), n()))
-    lhs = h_nil(h_global(bind(l, k), s0))
-    rhs = h_nil(h_global(bind(r, k), s0))
-    if lhs != rhs:
-        _record(report, ts, "law=put-or; s=%d s0=%d; m=%s; n=%s; k=%s"
-                % (s, s0, show_ast(m_ast), show_ast(n_ast), show_ast(k_ast)),
-                lhs, rhs)
+    l = bind(or_(seq(put(s), lower(m_ast, SN)), lower(n_ast, SN)), k)
+    r = bind(seq(put(s), or_(lower(m_ast, SN), lower(n_ast, SN))), k)
+    detail = lambda: "s=%d s0=%d; m=%s; n=%s; k=%s" % (
+        s, s0, show_ast(m_ast), show_ast(n_ast), show_ast(k_ast))
+    _compare(report, ts, [("put-or", h_nil(h_global(l, s0)),
+                           h_nil(h_global(r, s0)))], detail)
     # Counterexample search: the same law must be violable under hLocal.
-    if counterexample_box["counterexample"] is None:
-        l2 = or_(seq(put(s), m()), n())
-        r2 = seq(put(s), or_(m(), n()))
-        lloc = h_nil(h_local(bind(l2, k), s0))
-        rloc = h_nil(h_local(bind(r2, k), s0))
+    if report.get("counterexample") is None:
+        lloc, rloc = h_nil(h_local(l, s0)), h_nil(h_local(r, s0))
         if lloc != rloc:
-            counterexample_box["counterexample"] = {
+            report["counterexample"] = {
                 "trialSeed": ts,
-                "astText": "law=put-or under local; s=%d s0=%d; m=%s; n=%s; k=%s"
-                           % (s, s0, show_ast(m_ast), show_ast(n_ast),
-                              show_ast(k_ast)),
+                "astText": "law=put-or under local; " + detail(),
                 "lhs": repr(lloc),
                 "rhs": repr(rloc),
             }
@@ -528,16 +480,16 @@ def _check_globalstate_laws(report, ts, rng, counterexample_box):
 def _check_undo_laws(report, ts, rng):
     s = rng.randint(-100, 100)
     r = rng.randint(-100, 100)
-    if INT_UNDO.minus(INT_UNDO.plus(s, r), r) != s:
-        _record(report, ts, "law=plus-minus (int); s=%d r=%d" % (s, r),
-                INT_UNDO.minus(INT_UNDO.plus(s, r), r), s)
+    _compare(report, ts, [("plus-minus (int)",
+                           INT_UNDO.minus(INT_UNDO.plus(s, r), r), s)],
+             lambda: "s=%d r=%d" % (s, r))
     c = rng.randint(0, 6)
     sol = [rng.randint(1, 8) for _ in range(c)]
     qs = (c, sol)
     qr = rng.randint(1, 8)
-    if q_minus(q_plus(qs, qr), qr) != qs:
-        _record(report, ts, "law=plus-minus (queens); s=%r r=%d" % (qs, qr),
-                q_minus(q_plus(qs, qr), qr), qs)
+    _compare(report, ts, [("plus-minus (queens)",
+                           q_minus(q_plus(qs, qr), qr), qs)],
+             lambda: "s=%r r=%d" % (qs, qr))
 
 
 def _check_modify_laws(report, ts, rng):
@@ -549,46 +501,48 @@ def _check_modify_laws(report, ts, rng):
     kc = lambda _a: lower(kc_ast, m_fam)  # context for unit-valued laws
     k2_ast = gen_program(ts + 7, 2, ("modify",), free_vars=("x", "y"))
     k2 = lambda a, b: lower(k2_ast, m_fam, {"x": a, "y": b})
-    cases = [
-        ("mget-mget", mget(lambda v: mget(lambda w: k2(v, w))),
-         mget(lambda v: k2(v, v)), k),
-        ("update-mget", mget(lambda v: seq(update(r), Leaf(v + r))),
-         seq(update(r), mget(Leaf)), k),
-        ("restore-mget", mget(lambda v: seq(restore(r), Leaf(v - r))),
-         seq(restore(r), mget(Leaf)), k),
-        ("update-restore", seq(update(r), restore(r)), Leaf(()), kc),
-    ]
-    for name, l, r_, kk in cases:
-        lhs = h_nil(h_modify(bind(l, kk), s0))
-        rhs = h_nil(h_modify(bind(r_, kk), s0))
-        if lhs != rhs:
-            _record(report, ts, "law=%s; r=%d s0=%d; k=%s"
-                    % (name, r, s0, show_ast(k_ast)), lhs, rhs)
+    run = lambda t, kk=k: h_nil(h_modify(bind(t, kk), s0))
+    _compare(report, ts, [
+        ("mget-mget", run(mget(lambda v: mget(lambda w: k2(v, w)))),
+         run(mget(lambda v: k2(v, v)))),
+        ("update-mget", run(mget(lambda v: seq(update(r), Leaf(v + r)))),
+         run(seq(update(r), mget(Leaf)))),
+        ("restore-mget", run(mget(lambda v: seq(restore(r), Leaf(v - r)))),
+         run(seq(restore(r), mget(Leaf)))),
+        ("update-restore", run(seq(update(r), restore(r)), kc),
+         run(Leaf(()), kc)),
+    ], lambda: "r=%d s0=%d; k=%s" % (r, s0, show_ast(k_ast)))
+
+
+_LAW_CHECKS = {
+    "nondet": _check_nondet_laws,
+    "state": _check_state_laws,
+    "localstate": _check_localstate_laws,
+    "globalstate": _check_globalstate_laws,
+    "undo": _check_undo_laws,
+    "modify": _check_modify_laws,
+}
+
+LAW_SUITES = tuple(_LAW_CHECKS)
+
+
+def _trial_loop(checks, kind, ident, trials, seed):
+    """The trial loop of the law and lemma suites: checks[ident](report, ts,
+    rng) records what it finds, for each trial seed ts."""
+    if ident not in checks:
+        raise ValueError("unknown %s %r" % (kind, ident))
+    report = _report(ident, seed, trials)
+    for i in range(trials):
+        ts = _trial_seed(seed, i)
+        checks[ident](report, ts, random.Random(ts))
+    return report
 
 
 def check_laws(suite, trials, seed):
     """Check a law suite in random contexts (>>= k) on random programs."""
-    if suite not in LAW_SUITES:
-        raise ValueError("unknown law suite %r" % (suite,))
-    report = _report(suite, seed, trials)
-    if suite == "globalstate":
-        report["counterexample"] = None
-    for i in range(trials):
-        ts = _trial_seed(seed, i)
-        rng = random.Random(ts)
-        if suite == "nondet":
-            _check_nondet_laws(report, ts, rng)
-        elif suite == "state":
-            _check_state_laws(report, ts, rng)
-        elif suite == "localstate":
-            _check_localstate_laws(report, ts, rng)
-        elif suite == "globalstate":
-            _check_globalstate_laws(report, ts, rng, report)
-        elif suite == "undo":
-            _check_undo_laws(report, ts, rng)
-        elif suite == "modify":
-            _check_modify_laws(report, ts, rng)
-    if suite == "globalstate" and report["counterexample"] is None:
+    report = _trial_loop(_LAW_CHECKS, "law suite", suite, trials, seed)
+    if suite == "globalstate" and report.setdefault("counterexample",
+                                                    None) is None:
         report["failures"].append({
             "trialSeed": seed,
             "astText": "put-or-under-local counterexample search",
@@ -601,11 +555,6 @@ def check_laws(suite, trials, seed):
 # ---------------------------------------------------------------------------
 # Lemma suite.
 # ---------------------------------------------------------------------------
-
-LEMMA_IDS = ("state-restored", "modify-restored", "pop-extract", "stack-eval",
-             "dist-bind", "trail-tracks", "untrail-undos",
-             "state-stack-restored")
-
 
 def _trail_run(t, s, trail, undo=INT_UNDO):
     """hState1 ((hModify1 . hND+f . swap) t s) trail, keeping all pairs.
@@ -768,25 +717,23 @@ def _check_state_stack_restored(report, ts, rng):
                 (answers, s3, tr3), (answers_ref, s0, t0))
 
 
+_LEMMA_CHECKS = {
+    "state-restored": _check_state_restored,
+    "modify-restored": _check_modify_restored,
+    "pop-extract": _check_pop_extract,
+    "stack-eval": _check_stack_eval,
+    "dist-bind": _check_dist_bind,
+    "trail-tracks": _check_trail_tracks,
+    "untrail-undos": _check_untrail_undos,
+    "state-stack-restored": _check_state_stack_restored,
+}
+
+LEMMA_IDS = tuple(_LEMMA_CHECKS)
+
+
 def check_lemma(ident, trials, seed):
     """Check an appendix lemma on random programs / machine states."""
-    if ident not in LEMMA_IDS:
-        raise ValueError("unknown lemma id %r" % (ident,))
-    report = _report(ident, seed, trials)
-    check = {
-        "state-restored": _check_state_restored,
-        "modify-restored": _check_modify_restored,
-        "pop-extract": _check_pop_extract,
-        "stack-eval": _check_stack_eval,
-        "dist-bind": _check_dist_bind,
-        "trail-tracks": _check_trail_tracks,
-        "untrail-undos": _check_untrail_undos,
-        "state-stack-restored": _check_state_stack_restored,
-    }[ident]
-    for i in range(trials):
-        ts = _trial_seed(seed, i)
-        check(report, ts, random.Random(ts))
-    return report
+    return _trial_loop(_LEMMA_CHECKS, "lemma id", ident, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +747,6 @@ def _local2global_skip_putr(t):
 
 def _local2trail_untrailed_branch(t):
     """BUG: the right branch of Or does not untrail."""
-    from .core import Node, Or, MUpdate, fold
     def alg(idx, op):
         if idx == 0:
             if isinstance(op, MUpdate):
@@ -817,37 +763,30 @@ def _local2trail_untrailed_branch(t):
 
 _BROKEN_UNDO = Undo(INT_UNDO.plus, INT_UNDO.plus)  # BUG: minus defined as plus
 
-MUTATIONS = ("skip-putR", "untrailed-branch", "minus-as-plus")
+# Each seeded bug as a theorem row whose right side is broken: T-localglobal
+# with the bug in local2global, and T-trail with the bug in local2trail (the
+# answers of hGlobalT's run from an empty trail) or in the Undo instance.
+_MUTANTS = {
+    "skip-putR": _SN + (_runner("local"), lambda t, s0: h_nil(
+        h_global(_local2global_skip_putr(t), s0))),
+    "untrailed-branch": _MN + (_runner("localM"), lambda t, s0: _trail_run(
+        _local2trail_untrailed_branch(t), s0, [])[0][0]),
+    "minus-as-plus": _MN + (_runner("localM"),
+                            _runner("globalT", _BROKEN_UNDO)),
+}
+
+MUTATIONS = tuple(_MUTANTS)
 
 
 def check_mutation(name, trials, seed, depth=6):
     """Run a suite against a deliberately broken implementation; the check
     passes when at least one trial exposes the bug."""
+    if name not in _MUTANTS:
+        raise ValueError("unknown mutation %r" % (name,))
     report = _report("mutation:" + name, seed, trials)
     report["detected"] = False
-    for i in range(trials):
-        ts = _trial_seed(seed, i)
-        rng = random.Random(ts)
-        s0 = rng.randint(-3, 3)
-        if name == "skip-putR":
-            ast = gen_program(ts, 6, ("state", "nondet"))
-            lhs, rhs = _theorem_sides(
-                "T-localglobal", ast, s0,
-                local2global_impl=_local2global_skip_putr)
-        elif name == "untrailed-branch":
-            ast = gen_program(ts, 6, ("modify", "nondet"))
-            lhs, rhs = _theorem_sides(
-                "T-trail", ast, s0,
-                local2trail_impl=_local2trail_untrailed_branch)
-        elif name == "minus-as-plus":
-            ast = gen_program(ts, 6, ("modify", "nondet"))
-            lhs, rhs = (h_nil(h_local_m(lower(ast, MN), s0, INT_UNDO)),
-                        h_nil(h_global_t(lower(ast, MN), s0, _BROKEN_UNDO)))
-        else:
-            raise ValueError("unknown mutation %r" % (name,))
-        if lhs != rhs:
-            report["detected"] = True
-            report["firstFailingTrial"] = i
-            _record(report, ts, "s0=%d; %s" % (s0, show_ast(ast)), lhs, rhs)
-            break
+    for i in _differences(report, _MUTANTS[name], trials, seed, depth):
+        report["detected"] = True
+        report["firstFailingTrial"] = i
+        break
     return report

@@ -99,58 +99,35 @@ def queens_m(n):
     return loop()
 
 
-def _run_naive(n):
-    return h_nd(queens_naive(n))
-
-
-def _run_local(n):
-    return h_nil(h_local(queens(n), INITIAL))
-
-
-def _run_global(n):
-    return h_nil(h_global(local2global(queens(n)), INITIAL))
-
-
-def _run_sim(n):
-    return h_nil(simulate(queens(n), INITIAL))
-
-
-def _run_fused_f(n):
-    return h_nil(simulate_f(queens(n), INITIAL))
-
-
-def _run_local_m(n):
-    return h_nil(h_local_m(queens_m(n), INITIAL, QUEENS_UNDO))
-
-
-def _run_global_m(n):
-    return h_nil(h_global_m(local2global_m(queens_m(n)), INITIAL, QUEENS_UNDO))
-
-
-def _run_global_t(n):
-    return h_nil(h_global_t(queens_m(n), INITIAL, QUEENS_UNDO))
-
-
-def _run_sim_t(n):
-    return h_nil(simulate_t(queens_m(n), INITIAL, QUEENS_UNDO))
-
-
-def _run_fused_tf(n):
-    return h_nil(simulate_tf(queens_m(n), INITIAL, QUEENS_UNDO))
-
-
-PIPELINES = {
-    "naive": _run_naive,
-    "local": _run_local,
-    "global": _run_global,
-    "sim": _run_sim,
-    "fusedF": _run_fused_f,
-    "localM": _run_local_m,
-    "globalM": _run_global_m,
-    "globalT": _run_global_t,
-    "simT": _run_sim_t,
-    "fusedTF": _run_fused_tf,
+# Each pipeline once, as a function of (tree, initial state, Undo instance).
+# The entries name their handlers when called, not when defined, so that a
+# module attribute rebound later (a tracing wrapper, say) sees every call.
+RUNNERS = {
+    "naive": lambda t, s, undo: h_nd(t),
+    "local": lambda t, s, undo: h_nil(h_local(t, s)),
+    "global": lambda t, s, undo: h_nil(h_global(local2global(t), s)),
+    "sim": lambda t, s, undo: h_nil(simulate(t, s)),
+    "fusedF": lambda t, s, undo: h_nil(simulate_f(t, s)),
+    "localM": lambda t, s, undo: h_nil(h_local_m(t, s, undo)),
+    "globalM": lambda t, s, undo: h_nil(
+        h_global_m(local2global_m(t), s, undo)),
+    "globalT": lambda t, s, undo: h_nil(h_global_t(t, s, undo)),
+    "simT": lambda t, s, undo: h_nil(simulate_t(t, s, undo)),
+    "fusedTF": lambda t, s, undo: h_nil(simulate_tf(t, s, undo)),
 }
+
+
+def _pipeline(name, program):
+    """Board size -> solutions: RUNNERS[name] on the queens program named
+    `program` (also looked up when called), from INITIAL."""
+    return lambda n: RUNNERS[name](globals()[program](n), INITIAL, QUEENS_UNDO)
+
+
+PIPELINES = {name: _pipeline(name, program) for name, program in (
+    ("naive", "queens_naive"), ("local", "queens"), ("global", "queens"),
+    ("sim", "queens"), ("fusedF", "queens"), ("localM", "queens_m"),
+    ("globalM", "queens_m"), ("globalT", "queens_m"), ("simT", "queens_m"),
+    ("fusedTF", "queens_m"))}
 
 
 def run_pipeline(name, n):

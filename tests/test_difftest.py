@@ -121,3 +121,73 @@ def test_mutations_detected_smoke():
         rep = check_mutation(name, trials=200, seed=42)
         assert rep["detected"], name
         assert rep["firstFailingTrial"] < 200
+
+
+def test_check_mutation_honours_depth():
+    # Depth-0 programs are a bare ret or fail: no put for skip-putR to skip.
+    assert check_mutation("skip-putR", 300, 42, depth=0)["detected"] is False
+
+
+def test_check_mutation_unknown():
+    import pytest
+    with pytest.raises(ValueError):
+        check_mutation("nope", 0, 1)
+
+
+# sha256 of json.dumps(report, sort_keys=True) at seed 42: theorems 40 trials
+# (depth 6), laws and lemmas 40 trials, mutations 200 trials.  A change that
+# alters any report, a failure record's text included, changes its digest.
+GOLDEN_REPORTS = {
+    "theorem:T-localglobal": "dc05af55e1ff9fa6d643342dd8689c7f84194de5825acbf5fa23c6e56687e230",
+    "theorem:T-nondetstateS": "2d2989f019b2179e8a3ecf5c76a89bca0712227565c603c03f86ac320befad9a",
+    "theorem:T-nondetstate": "572014dd726a4d91b0251c61b061897bd37cb05c388b746d6c8e38f0b207e5a7",
+    "theorem:T-statesstate": "7f59be35c5ee6c95e2180ae3165d9d30cfda84402e3a74a69f869a96f9897758",
+    "theorem:T-simulate": "fe5f30945f2e74bff9fe2492e52d926861eec319fcd56b8e3b71f2268c662032",
+    "theorem:T-fusedF": "ed2c5fd819009c5e640d8c882a8574c26eae05803e7a175745f9360b54922370",
+    "theorem:T-modify": "6c25f6f48eeabc7c6d2499235be7094491d9a1267c023ff062dc94b27186eedc",
+    "theorem:T-trail": "833055cd4f0ac9359415bba8cd60dcd322142e4ca49079f8cb33bf1c5fb3d75e",
+    "theorem:T-simulateT": "220a3b9ff1c49c273abbab2121cc15c32153e13a740c737c1f69fe1ad2b2b3eb",
+    "theorem:T-fusedTF": "f2753421d1247ae60526f5cf6726c4916d568971e8a832cc99aac172a11a221d",
+    "laws:nondet": "a4d0f1c2a3d654469b7fe59dc1e71f4eef4d76bac3fbf5a39f54cf4e418b6c92",
+    "laws:state": "f8735ce3fa656f4476f976530be9787122c450e929d14a931266e5deddb2e9c8",
+    "laws:localstate": "9024c88d7838c4d5d80d3dfb834ca8d707e064cb7f7c46eb9b8fe97e8d22a617",
+    "laws:globalstate": "20f6e04703c74c01c45db2a11461ac50a4e9c2e4d945d979c216910910cffc9c",
+    "laws:undo": "26965aa5fa3e91024f4a995d22d0b2ea9350d86d0a3e339ed6bf45e0eedf5210",
+    "laws:modify": "806702614900f236a587ca1d8484b9ad98470bd5739a3ab93a7e61553a52d0f4",
+    "lemma:state-restored": "4335e425e06f5ce82fea402d7aceb815117904420c4e8159f8a9a98a66cace69",
+    "lemma:modify-restored": "67bff242d26c42c5ffd65d112a878c5862620549cb9526328a406b5233345732",
+    "lemma:pop-extract": "d6960b71befde43d0c5576ae1add437c276ca5ccc0d0b07bd07193c11c1db0a8",
+    "lemma:stack-eval": "bedbdd61a1fbb453e893ea870d1fb12359ed37246fcd724116480037a9387223",
+    "lemma:dist-bind": "5ac0681454315eb5ccc10eb5fc3bec7aaea688e3524ea3ea8de6ef5899578471",
+    "lemma:trail-tracks": "c66b7d815efcd957cf7a6dfbd358ab8e1511eea46d2635f2313c4a57583545b8",
+    "lemma:untrail-undos": "2a3778599eeca01c2b9d3f09d68b1da1c3cd3d82e6a394fd30799df1a611780e",
+    "lemma:state-stack-restored": "8e0e44690ed3046d3b1f5205074f6e3ea72205a1b24782a5d1d4d59e6a5374b8",
+    "mutation:skip-putR": "68baafcbc65c4d51c48b112ee110b0e5825358f125a89cc2104f3025dd22945a",
+    "mutation:untrailed-branch": "ab30eeff0ad3d8a884dd68ba2734fa7b41d8b1b39f5e2c6f1a9901560961691e",
+    "mutation:minus-as-plus": "3da18e98092d69e97078e3dad73d853a163ede1e5b2771ad6aa4d37f05283229",
+}
+
+
+def test_golden_reports():
+    import hashlib
+    import json
+
+    def digest(report):
+        text = json.dumps(report, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    reports = {}
+    for ident in THEOREM_IDS:
+        reports["theorem:" + ident] = check_theorem(ident, 40, 42)
+    for suite in LAW_SUITES:
+        reports["laws:" + suite] = check_laws(suite, 40, 42)
+    for ident in LEMMA_IDS:
+        reports["lemma:" + ident] = check_lemma(ident, 40, 42)
+    for name in MUTATIONS:
+        reports["mutation:" + name] = check_mutation(name, 200, 42)
+    assert {k: digest(r) for k, r in reports.items()} == GOLDEN_REPORTS
+    assert {name: reports["mutation:" + name]["firstFailingTrial"]
+            for name in MUTATIONS} == {
+        "skip-putR": 11, "untrailed-branch": 38, "minus-as-plus": 38}
+    assert reports["laws:globalstate"]["counterexample"]["trialSeed"] \
+        == 42000147

@@ -27,7 +27,7 @@ def test_simulate_f_equals_simulate():
 
 
 def test_simulate_f_deep_chain():
-    # 50k sequential puts then a get: no Python recursion involved.
+    # 10k sequential puts then a get: no Python recursion involved.
     t = get(ret)
     for i in range(10_000):
         t = seq(put(i), t)
