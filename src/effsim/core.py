@@ -264,4 +264,5 @@ def show_tree(t):
         return "update@%s %r; %s" % (tag, op.r, show_tree(op.k))
     if isinstance(op, MRestore):
         return "restore@%s %r; %s" % (tag, op.r, show_tree(op.k))
-    raise TypeError("unknown operation: %r" % (op,))
+    raise TypeError("unknown operation %s at index %s"
+                    % (type(op).__name__, tag))

@@ -1,15 +1,18 @@
-"""Handlers: folds interpreting one leading signature family at a time.
+"""Handlers: interpreting one leading signature family at a time.
 
 Handlers over a residual signature return a residual tree whose injection
-indices are shifted down past the handled family.  State-like handlers
-(hState1, hModify1) are the fused single-fold versions and are implemented
-as iterative loops so that arbitrarily long operation chains do not consume
-Python stack.
+indices are shifted down past the handled family.  The state-like handlers
+(hState1, hModify1) are the fused single-fold versions, and h_ndf is the
+paper's runND+f machine (a results list and a stack of pending branches),
+which the paper proves equal to the liftM2 (++) definition of hND+f.  All
+are iterative loops, so arbitrarily long operation chains and wide choices
+do not consume Python stack; only the forwarding of a residual operation
+recurses.
 """
 
 from .core import (
     Leaf, Node, Get, Put, Fail, Or, MGet, MUpdate, MRestore,
-    bind, tree_map, swap,
+    tree_map, swap,
 )
 
 
@@ -35,14 +38,16 @@ def h_nd(t):
             continue
         op = t.op
         if t.idx != 0:
-            raise ValueError("h_nd: unexpected residual operation %r" % (op,))
+            raise ValueError("h_nd: unexpected residual operation %s at "
+                             "index %d" % (type(op).__name__, t.idx))
         if isinstance(op, Fail):
             continue
         if isinstance(op, Or):
             stack.append(op.r)
             stack.append(op.l)
             continue
-        raise ValueError("h_nd: non-nondet operation %r" % (op,))
+        raise ValueError("h_nd: non-nondet operation %s at index 0"
+                         % type(op).__name__)
     return out
 
 
@@ -63,7 +68,8 @@ def h_state(t, s):
                 s = op.s
                 t = op.k
             else:
-                raise ValueError("h_state: non-state operation %r" % (op,))
+                raise ValueError("h_state: non-state operation %s at "
+                                 "index 0" % type(op).__name__)
         else:
             cur = s
             return Node(t.idx - 1,
@@ -86,7 +92,8 @@ def h_modify(t, s, undo=INT_UNDO):
                 s = undo.minus(s, op.r)
                 t = op.k
             else:
-                raise ValueError("h_modify: non-modify operation %r" % (op,))
+                raise ValueError("h_modify: non-modify operation %s at "
+                                 "index 0" % type(op).__name__)
         else:
             cur = s
             return Node(t.idx - 1,
@@ -94,26 +101,46 @@ def h_modify(t, s, undo=INT_UNDO):
                             lambda c, cur=cur: h_modify(c, cur, undo)))
 
 
-def _lift2_append(p, q):
-    """liftM2 (++) over residual trees of lists."""
-    return bind(p, lambda l: tree_map(q, lambda r: l + r))
-
-
 def h_ndf(t):
-    """hND+f: handle the leading NondetF family, forwarding the rest.
+    """hND+f as the runND+f machine: handle the leading NondetF family,
+    forwarding the rest.
+
+    The machine keeps the results so far and the pending right branches as
+    persistent cons cells ((head, tail), None for empty): a leaf conses its
+    value onto the results, Or pushes its right branch and runs the left,
+    and Fail or a finished leaf pops the next branch.  A residual operation
+    is forwarded with the current cells captured; cells are never mutated,
+    so its continuations can be resumed any number of times.
 
     Returns a residual tree whose leaves are DFS-ordered result lists.
     """
-    if isinstance(t, Leaf):
-        return Leaf([t.value])
-    if t.idx == 0:
-        op = t.op
-        if isinstance(op, Fail):
-            return Leaf([])
-        if isinstance(op, Or):
-            return _lift2_append(h_ndf(op.l), h_ndf(op.r))
-        raise ValueError("h_ndf: non-nondet operation %r" % (op,))
-    return Node(t.idx - 1, t.op.map_children(h_ndf))
+    def run(t, xs, stack):
+        while True:
+            if isinstance(t, Leaf):
+                xs = (t.value, xs)
+            elif t.idx == 0:
+                op = t.op
+                if isinstance(op, Or):
+                    stack = (op.r, stack)
+                    t = op.l
+                    continue
+                if not isinstance(op, Fail):
+                    raise ValueError("h_ndf: non-nondet operation %s at "
+                                     "index 0" % type(op).__name__)
+            else:
+                return Node(t.idx - 1,
+                            t.op.map_children(
+                                lambda c, xs=xs, stack=stack:
+                                run(c, xs, stack)))
+            if stack is None:
+                out = []
+                while xs is not None:
+                    x, xs = xs
+                    out.append(x)
+                out.reverse()
+                return Leaf(out)
+            t, stack = stack
+    return run(t, None, None)
 
 
 def h_nil(t):
@@ -124,8 +151,9 @@ def h_nil(t):
     if isinstance(t, Leaf):
         return t.value
     raise RuntimeError(
-        "h_nil applied to an operation node (idx=%d, op=%r): "
-        "residual signature was expected to be empty" % (t.idx, t.op))
+        "h_nil applied to an operation node (idx=%d, op=%s): "
+        "residual signature was expected to be empty"
+        % (t.idx, type(t.op).__name__))
 
 
 def h_local(t, s):

@@ -3,8 +3,9 @@
 simulate_f collapses the choicepoint-stack pipeline into one machine with a
 results list and a choicepoint stack; simulate_tf additionally keeps a trail
 stack of deltas and markers (the WAM stack/trail discipline).  Both run as
-iterative loops; the only recursion is the forwarding of residual operations,
-whose children resume the machine from a snapshot.
+iterative loops over in-place stacks (Python lists, top at the end); the
+only recursion is the forwarding of residual operations, whose children
+resume the machine from copies of the stacks.
 """
 
 from .core import (
@@ -26,7 +27,7 @@ def simulate_f(t, s, trace=None):
             if isinstance(t, Leaf):
                 if trace is not None:
                     trace.append(("ret", len(xs) + 1, len(stack)))
-                xs = xs + [t.value]
+                xs.append(t.value)
                 t = None
             elif t.idx == 0:
                 op = t.op
@@ -38,11 +39,12 @@ def simulate_f(t, s, trace=None):
                 if isinstance(op, Put):
                     if trace is not None:
                         trace.append(("put", len(xs), len(stack) + 1))
-                    stack = [("restore", s)] + stack
+                    stack.append(("restore", s))
                     s = op.s
                     t = op.k
                     continue
-                raise ValueError("simulate_f: non-state operation %r" % (op,))
+                raise ValueError("simulate_f: non-state operation %s at "
+                                 "index 0" % type(op).__name__)
             elif t.idx == 1:
                 op = t.op
                 if isinstance(op, Fail):
@@ -52,27 +54,26 @@ def simulate_f(t, s, trace=None):
                 elif isinstance(op, Or):
                     if trace is not None:
                         trace.append(("or", len(xs), len(stack) + 1))
-                    stack = [("branch", op.r)] + stack
+                    stack.append(("branch", op.r))
                     t = op.l
                     continue
                 else:
-                    raise ValueError(
-                        "simulate_f: non-nondet operation %r" % (op,))
+                    raise ValueError("simulate_f: non-nondet operation %s at "
+                                     "index 1" % type(op).__name__)
             else:
-                snap = (xs, stack, s)
                 return Node(t.idx - 2,
                             t.op.map_children(
-                                lambda c, snap=snap: run(c, *snap[:2],
-                                                         snap[2])))
+                                lambda c, xs=xs, stack=stack, s=s:
+                                run(c, list(xs), list(stack), s)))
             # continue: pop the choicepoint stack
             while t is None:
                 if not stack:
                     return Leaf(xs)
-                entry, stack = stack[0], stack[1:]
-                if entry[0] == "restore":
-                    s = entry[1]
+                tag, v = stack.pop()
+                if tag == "restore":
+                    s = v
                 else:
-                    t = entry[1]
+                    t = v
     return run(t, [], [], s)
 
 
@@ -90,7 +91,7 @@ def simulate_tf(t, s, undo=INT_UNDO, trace=None):
             if isinstance(t, Leaf):
                 if trace is not None:
                     trace.append(("ret", len(xs) + 1, len(cp), len(tr)))
-                xs = xs + [t.value]
+                xs.append(t.value)
                 t = None
             elif t.idx == 0:
                 op = t.op
@@ -102,7 +103,7 @@ def simulate_tf(t, s, undo=INT_UNDO, trace=None):
                 if isinstance(op, MUpdate):
                     if trace is not None:
                         trace.append(("update", len(xs), len(cp), len(tr) + 1))
-                    tr = [left(op.r)] + tr
+                    tr.append(left(op.r))
                     s = undo.plus(s, op.r)
                     t = op.k
                     continue
@@ -112,7 +113,8 @@ def simulate_tf(t, s, undo=INT_UNDO, trace=None):
                     s = undo.minus(s, op.r)
                     t = op.k
                     continue
-                raise ValueError("simulate_tf: non-modify operation %r" % (op,))
+                raise ValueError("simulate_tf: non-modify operation %s at "
+                                 "index 0" % type(op).__name__)
             elif t.idx == 1:
                 op = t.op
                 if isinstance(op, Fail):
@@ -122,30 +124,28 @@ def simulate_tf(t, s, undo=INT_UNDO, trace=None):
                 elif isinstance(op, Or):
                     if trace is not None:
                         trace.append(("or", len(xs), len(cp) + 1, len(tr) + 1))
-                    cp = [op.r] + cp
-                    tr = [MARKER] + tr
+                    cp.append(op.r)
+                    tr.append(MARKER)
                     t = op.l
                     continue
                 else:
-                    raise ValueError(
-                        "simulate_tf: non-nondet operation %r" % (op,))
+                    raise ValueError("simulate_tf: non-nondet operation %s "
+                                     "at index 1" % type(op).__name__)
             else:
-                snap = (xs, cp, tr, s)
                 return Node(t.idx - 2,
                             t.op.map_children(
-                                lambda c, snap=snap: run(c, *snap)))
+                                lambda c, xs=xs, cp=cp, tr=tr, s=s:
+                                run(c, list(xs), list(cp), list(tr), s)))
             # continue: pop a resumption and untrail back to its marker
             if t is None:
                 if not cp:
                     return Leaf(xs)
-                q, cp = cp[0], cp[1:]
-                while tr and tr[0] != MARKER:
+                t = cp.pop()
+                while tr and tr[-1] != MARKER:
                     if trace is not None:
                         trace.append(("untrail", len(xs), len(cp),
                                       len(tr) - 1))
-                    s = undo.minus(s, tr[0][1])
-                    tr = tr[1:]
+                    s = undo.minus(s, tr.pop()[1])
                 if tr:
-                    tr = tr[1:]  # pop the marker
-                t = q
+                    tr.pop()  # the marker
     return run(t, [], [], [], s)

@@ -52,7 +52,9 @@ def q_minus(s, r):
     return (c - 1, sol[1:])
 
 
-QUEENS_UNDO = Undo(q_plus, q_minus)
+# Like RUNNERS below, these look q_plus and q_minus up when called, so that
+# a module attribute rebound later sees every call.
+QUEENS_UNDO = Undo(lambda s, r: q_plus(s, r), lambda s, r: q_minus(s, r))
 
 INITIAL = (0, [])
 

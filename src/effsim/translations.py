@@ -87,12 +87,14 @@ def nondet2state_s(t):
     """Closed simulation: [NondetF] programs into [StateF(ChoiceState)]."""
     def alg(idx, op):
         if idx != 0:
-            raise ValueError("nondet2state_s: residual operation %r" % (op,))
+            raise ValueError("nondet2state_s: residual operation %s at "
+                             "index %d" % (type(op).__name__, idx))
         if isinstance(op, Fail):
             return pop_s()
         if isinstance(op, Or):
             return push_s(op.r, op.l)
-        raise ValueError("nondet2state_s: non-nondet operation %r" % (op,))
+        raise ValueError("nondet2state_s: non-nondet operation %s at index 0"
+                         % type(op).__name__)
     return fold(lambda x: append_s(x, pop_s()), alg, t)
 
 
@@ -114,7 +116,8 @@ def nondet2state(t):
                 return pop_s()
             if isinstance(op, Or):
                 return push_s(op.r, op.l)
-            raise ValueError("nondet2state: non-nondet operation %r" % (op,))
+            raise ValueError("nondet2state: non-nondet operation %s at "
+                             "index 0" % type(op).__name__)
         return Node(idx, op)
     return fold(lambda x: append_s(x, pop_s()), alg, t)
 
@@ -137,13 +140,15 @@ def states2state(t):
                 return get(lambda s12: op.k(s12[0]))
             if isinstance(op, Put):
                 return get(lambda s12: seq(put((op.s, s12[1])), op.k))
-            raise ValueError("states2state: non-state operation %r" % (op,))
+            raise ValueError("states2state: non-state operation %s at "
+                             "index 0" % type(op).__name__)
         if idx == 1:
             if isinstance(op, Get):
                 return get(lambda s12: op.k(s12[1]))
             if isinstance(op, Put):
                 return get(lambda s12: seq(put((s12[0], op.s)), op.k))
-            raise ValueError("states2state: non-state operation %r" % (op,))
+            raise ValueError("states2state: non-state operation %s at "
+                             "index 1" % type(op).__name__)
         return Node(idx - 1, op)
     return fold(Leaf, alg, t)
 

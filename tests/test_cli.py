@@ -1,5 +1,6 @@
 """CLI: argument handling, output formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -112,3 +113,22 @@ def test_trace_fused_tf(capsys):
     assert payload["solutions"] == [[2, 4, 1, 3], [3, 1, 4, 2]]
     ops = {rec[0] for rec in payload["trace"]}
     assert {"or", "update", "untrail", "ret"} <= ops
+
+
+# sha256 of the full `effsim trace --n 6 --output json` text per machine:
+# the step records, their order and every stack depth in them.
+TRACE_DIGESTS = {
+    "fusedF":
+        "aedf1102124b52f804d06cc738c3168ae95d2fb5003453b5f66d12f0bd7c7409",
+    "fusedTF":
+        "41f6ff04192edd93a96149b731c2f2c19e75b01fab65bbf25cd96e6c95faab6f",
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(TRACE_DIGESTS))
+def test_trace_records_pinned(capsys, pipeline):
+    code, out = run(capsys, "trace", "--pipeline", pipeline, "--n", "6",
+                    "--output", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        TRACE_DIGESTS[pipeline]

@@ -1,10 +1,14 @@
 """Handlers: DFS lists, state threading, local vs global semantics."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import effsim
 from effsim.core import (
     Leaf, ret, get, put, fail, or_, choose, guard, side, seq, bind,
     mget, update, restore,
@@ -13,6 +17,7 @@ from effsim.handlers import (
     Undo, INT_UNDO, h_nd, h_state, h_modify, h_ndf, h_nil,
     h_local, h_global, h_local_m, h_global_m, h_states, h_global_t,
 )
+from effsim.translations import local2global
 
 
 def test_h_nd_dfs_order():
@@ -36,6 +41,23 @@ def test_h_nd_rejects_foreign_ops():
         h_nd(put(1, at=0))
 
 
+def test_h_nd_rejects_deep_residual_without_crashing():
+    # The error names the operation instead of printing the 20 000-deep
+    # tree, whose repr would overflow the interpreter's C stack.
+    code = ("from effsim.core import choose\n"
+            "from effsim.handlers import h_nd\n"
+            "try:\n"
+            "    h_nd(choose(range(20000), at=1))\n"
+            "except ValueError as e:\n"
+            "    print(e)\n")
+    src = os.path.dirname(os.path.dirname(effsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "h_nd: unexpected residual operation Or at index 1\n"
+
+
 def test_h_state_threads_state():
     t = seq(put(5), get(lambda s: ret(s + 1)))
     assert h_nil(h_state(t, 0)) == (6, 5)
@@ -51,6 +73,21 @@ def test_h_state_long_chain():
     for _ in range(50_000):
         t = seq(put(1), t)
     assert h_nil(h_state(t, 0)) == (0, 1)
+
+
+# Size-scaling checks: results only, never time.
+
+def test_global_long_put_chain():
+    t = get(ret)
+    for i in range(2000):
+        t = seq(put(i), t)
+    out = h_nil(h_global(local2global(t), -1))
+    assert out == [0]
+
+
+def test_h_global_t_wide_choose():
+    out = h_nil(h_global_t(choose(range(4000)), 0))
+    assert out == list(range(4000))
 
 
 def test_h_state_forwards_residual_with_current_state():
@@ -80,6 +117,15 @@ def test_h_ndf_forwards_state():
     # (get | get) with nondet leading: residual state ops remain.
     t = or_(get(ret, at=1), seq(put(8, at=1), get(ret, at=1)), at=0)
     assert h_nil(h_state(h_ndf(t), 2)) == ([2, 8], 8)
+
+
+def test_h_ndf_residual_resumes_repeatedly():
+    # A forwarded continuation captures the machine's results and pending
+    # branches; resuming it must not disturb a later resumption.
+    r = h_ndf(or_(get(ret, at=1), ret("b"), at=0))
+    assert r.idx == 0
+    assert [h_nil(r.op.k(s)) for s in (1, 2, 1)] == \
+        [[1, "b"], [2, "b"], [1, "b"]]
 
 
 def test_h_nil_rejects_ops():

@@ -39,6 +39,29 @@ def test_simulate_f_wide_or():
     assert h_nil(simulate_f(t, 0)) == list(range(5_000))
 
 
+# Size-scaling checks: results only, never time.  Each result is bound to a
+# name first, so that a failing assert does not print a 200 000-deep tree.
+
+def test_simulate_f_scales():
+    out = h_nil(simulate_f(choose(range(200_000)), 0))
+    assert out == list(range(200_000))
+    t = get(ret)
+    for i in range(200_000):
+        t = seq(put(i), t)
+    out = h_nil(simulate_f(t, -1))
+    assert out == [0]
+
+
+def test_simulate_tf_scales():
+    out = h_nil(simulate_tf(choose(range(200_000)), 0))
+    assert out == list(range(200_000))
+    t = mget(ret)
+    for _ in range(200_000):
+        t = seq(update(1, at=0), t)
+    out = h_nil(simulate_tf(t, 0))
+    assert out == [200_000]
+
+
 def test_simulate_f_trace():
     trace = []
     t = or_(seq(put(5), ret("a")), ret("b"))
@@ -57,6 +80,15 @@ def test_simulate_f_forwards_residual():
     assert out == ([3, 7], 7)
 
 
+def test_simulate_f_residual_resumes_repeatedly():
+    # Each resumption starts from the stacks as they were when the residual
+    # operation was forwarded, however often it is resumed.
+    r = simulate_f(or_(get(ret, at=2), ret("b")), 0)
+    assert r.idx == 0
+    assert [h_nil(r.op.k(s)) for s in (1, 2, 1)] == \
+        [[1, "b"], [2, "b"], [1, "b"]]
+
+
 def test_simulate_tf_litmus():
     t = seq(update(1, at=0), or_(seq(update(2, at=0), mget(ret)), mget(ret)))
     assert h_nil(simulate_tf(t, 0)) == [3, 1]
@@ -69,6 +101,15 @@ def test_simulate_tf_equals_simulate_t():
         s0 = rng.randint(0, 9)
         assert h_nil(simulate_tf(t, s0)) == h_nil(simulate_t(t, s0)) \
             == h_nil(h_local_m(t, s0))
+
+
+def test_simulate_tf_residual_resumes_repeatedly():
+    # The trail entry and marker pushed before the fork must be there for
+    # every resumption, so that the right branch sees the state restored.
+    r = simulate_tf(or_(seq(update(5, at=0), get(ret, at=2)),
+                        mget(ret, at=0)), 0)
+    assert r.idx == 0
+    assert [h_nil(r.op.k(s)) for s in (1, 2, 1)] == [[1, 0], [2, 0], [1, 0]]
 
 
 def test_simulate_tf_custom_undo():
