@@ -50,6 +50,19 @@ def _positive(kind, minimum=1):
     return parse
 
 
+# The suite commands as name -> (help, suite ids, default trials, run), where
+# run(args, seed) returns the suite's report.
+_SUITES = {
+    "difftest": ("run a theorem suite", THEOREM_IDS, 1000,
+                 lambda a, seed: check_theorem(a.suite, a.trials, seed,
+                                               depth=a.depth)),
+    "laws": ("run a law suite", LAW_SUITES, 500,
+             lambda a, seed: check_laws(a.suite, a.trials, seed)),
+    "lemmas": ("run a lemma suite", LEMMA_IDS, 300,
+               lambda a, seed: check_lemma(a.suite, a.trials, seed)),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="effsim",
@@ -62,24 +75,15 @@ def _build_parser():
     q.add_argument("--pipeline", choices=sorted(PIPELINES), default="local")
     q.add_argument("--output", choices=("text", "json"), default="text")
 
-    d = sub.add_parser("difftest", help="run a theorem suite")
-    d.add_argument("--suite", choices=THEOREM_IDS, required=True)
-    d.add_argument("--trials", type=_positive("trials"), default=1000)
-    d.add_argument("--seed", type=int, default=None)
-    d.add_argument("--depth", type=int, choices=range(0, 11), default=6)
-    d.add_argument("--output", choices=("text", "json"), default="text")
-
-    l = sub.add_parser("laws", help="run a law suite")
-    l.add_argument("--suite", choices=LAW_SUITES, required=True)
-    l.add_argument("--trials", type=_positive("trials"), default=500)
-    l.add_argument("--seed", type=int, default=None)
-    l.add_argument("--output", choices=("text", "json"), default="text")
-
-    m = sub.add_parser("lemmas", help="run a lemma suite")
-    m.add_argument("--suite", choices=LEMMA_IDS, required=True)
-    m.add_argument("--trials", type=_positive("trials"), default=300)
-    m.add_argument("--seed", type=int, default=None)
-    m.add_argument("--output", choices=("text", "json"), default="text")
+    for name, (help_, ids, trials, _run) in _SUITES.items():
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--suite", choices=ids, required=True)
+        p.add_argument("--trials", type=_positive("trials"), default=trials)
+        p.add_argument("--seed", type=int, default=None)
+        if name == "difftest":
+            p.add_argument("--depth", type=int, choices=range(0, 11),
+                           default=6)
+        p.add_argument("--output", choices=("text", "json"), default="text")
 
     b = sub.add_parser("bench", help="time every pipeline on n-queens")
     b.add_argument("--n", type=_positive("n"), required=True)
@@ -92,14 +96,6 @@ def _build_parser():
     t.add_argument("--output", choices=("text", "json"), default="text")
 
     return parser
-
-
-def _emit(payload, output):
-    if output == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in payload.get("lines", []):
-            print(line)
 
 
 def _report_exit(report, output):
@@ -137,17 +133,8 @@ def main(argv=None):
             print("%d solutions" % len(solutions))
         return 0
 
-    if args.command == "difftest":
-        report = check_theorem(args.suite, args.trials, seed,
-                               depth=args.depth)
-        return _report_exit(report, args.output)
-
-    if args.command == "laws":
-        report = check_laws(args.suite, args.trials, seed)
-        return _report_exit(report, args.output)
-
-    if args.command == "lemmas":
-        report = check_lemma(args.suite, args.trials, seed)
+    if args.command in _SUITES:
+        report = _SUITES[args.command][3](args, seed)
         return _report_exit(report, args.output)
 
     if args.command == "bench":

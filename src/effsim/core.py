@@ -24,7 +24,7 @@ class Leaf:
         self.value = value
 
     def __repr__(self):
-        return "Leaf(%r)" % (self.value,)
+        return show_tree(self)
 
 
 class Node:
@@ -37,7 +37,7 @@ class Node:
         self.op = op
 
     def __repr__(self):
-        return "Node(%d, %r)" % (self.idx, self.op)
+        return show_tree(self)
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +55,6 @@ class Get:
         k = self.k
         return Get(lambda s: f(k(s)))
 
-    def __repr__(self):
-        return "Get(<fun>)"
-
 
 class Put:
     __slots__ = ("s", "k")
@@ -69,18 +66,12 @@ class Put:
     def map_children(self, f):
         return Put(self.s, f(self.k))
 
-    def __repr__(self):
-        return "Put(%r, %r)" % (self.s, self.k)
-
 
 class Fail:
     __slots__ = ()
 
     def map_children(self, f):
         return self
-
-    def __repr__(self):
-        return "Fail"
 
 
 class Or:
@@ -93,9 +84,6 @@ class Or:
     def map_children(self, f):
         return Or(f(self.l), f(self.r))
 
-    def __repr__(self):
-        return "Or(%r, %r)" % (self.l, self.r)
-
 
 class MGet:
     __slots__ = ("k",)
@@ -106,9 +94,6 @@ class MGet:
     def map_children(self, f):
         k = self.k
         return MGet(lambda s: f(k(s)))
-
-    def __repr__(self):
-        return "MGet(<fun>)"
 
 
 class MUpdate:
@@ -121,9 +106,6 @@ class MUpdate:
     def map_children(self, f):
         return MUpdate(self.r, f(self.k))
 
-    def __repr__(self):
-        return "MUpdate(%r, %r)" % (self.r, self.k)
-
 
 class MRestore:
     __slots__ = ("r", "k")
@@ -134,9 +116,6 @@ class MRestore:
 
     def map_children(self, f):
         return MRestore(self.r, f(self.k))
-
-    def __repr__(self):
-        return "MRestore(%r, %r)" % (self.r, self.k)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +222,7 @@ def rotate(t):
 
 # ---------------------------------------------------------------------------
 # Debug pretty-printer (stable text form; function children shown as <fun>).
+# It is also the repr of Leaf and Node.
 # ---------------------------------------------------------------------------
 
 def show_tree(t):

@@ -24,7 +24,7 @@ from .handlers import (
     h_states,
 )
 from .translations import (
-    local2global, nondet2state_s, run_nd, run_ndf, states2state, alpha,
+    local2global, nondet2state, run_nd, run_ndf, states2state, alpha,
     local2global_m, local2trail, untrail, push_stack, pop_s, push_s,
     append_s, ChoiceState, MARKER, left,
 )
@@ -566,29 +566,24 @@ def _trail_run(t, s, trail, undo=INT_UNDO):
     return h_nil(h_state(w, trail))
 
 
-def _check_state_restored(report, ts, rng):
-    ast = gen_program(ts, 5, ("state", "nondet"))
-    s0 = rng.randint(-3, 3)
-    t = local2global(lower(ast, SN))
-    (_results, s_final) = h_nil(h_state(h_ndf(swap(t)), s0))
-    if s_final != s0:
-        _record(report, ts, "s0=%d; %s" % (s0, show_ast(ast)), s_final, s0)
-
-
-def _check_modify_restored(report, ts, rng):
-    ast = gen_program(ts, 5, ("modify", "nondet"))
-    s0 = rng.randint(-3, 3)
-    t = local2global_m(lower(ast, MN))
-    (_results, s_final) = h_nil(h_modify(h_ndf(swap(t)), s0))
-    if s_final != s0:
-        _record(report, ts, "s0=%d; %s" % (s0, show_ast(ast)), s_final, s0)
+def _restored(families, layout, run):
+    """Lemma: run(t, s0), a restoring translation and its handlers, ends in
+    state s0 on every program t over the families, lowered at the layout."""
+    def check(report, ts, rng):
+        ast = gen_program(ts, 5, families)
+        s0 = rng.randint(-3, 3)
+        (_results, s_final) = run(lower(ast, layout), s0)
+        if s_final != s0:
+            _record(report, ts, "s0=%d; %s" % (s0, show_ast(ast)),
+                    s_final, s0)
+    return check
 
 
 def _machine_state(rng, ts):
     """A random choicepoint state: results plus pending translated branches."""
     xs = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
-    st = [nondet2state_s(lower(gen_program(ts + 100 + j, 3, ("nondet",)),
-                               {"nondet": 0}))
+    st = [nondet2state(lower(gen_program(ts + 100 + j, 3, ("nondet",)),
+                             {"nondet": 0}))
           for j in range(rng.randint(0, 2))]
     return xs, st
 
@@ -602,9 +597,8 @@ def _drain(p, cs):
 
 def _check_pop_extract(report, ts, rng):
     src = gen_program(ts, 4, ("nondet",))
-    p = nondet2state_s(lower(src, {"nondet": 0}))
-    extracted = _drain(nondet2state_s(lower(src, {"nondet": 0})),
-                       ChoiceState([], []))
+    p = nondet2state(lower(src, {"nondet": 0}))
+    extracted = _drain(p, ChoiceState([], []))  # trees are immutable
     xs, st = _machine_state(rng, ts)
     lhs = _drain(p, ChoiceState(xs, st))
     rhs = _drain(pop_s(), ChoiceState(xs + extracted, list(st)))
@@ -615,9 +609,9 @@ def _check_pop_extract(report, ts, rng):
 def _check_stack_eval(report, ts, rng):
     xs, st = _machine_state(rng, ts)
     x = rng.randint(-3, 3)
-    p = nondet2state_s(lower(gen_program(ts, 3, ("nondet",)), {"nondet": 0}))
-    q = nondet2state_s(lower(gen_program(ts + 1, 3, ("nondet",)),
-                             {"nondet": 0}))
+    p = nondet2state(lower(gen_program(ts, 3, ("nondet",)), {"nondet": 0}))
+    q = nondet2state(lower(gen_program(ts + 1, 3, ("nondet",)),
+                           {"nondet": 0}))
     checks = [
         ("evaluation-append",
          _drain(append_s(x, p), ChoiceState(list(xs), list(st))),
@@ -639,28 +633,19 @@ def _check_stack_eval(report, ts, rng):
 
 def _check_dist_bind(report, ts, rng):
     s0 = rng.randint(-3, 3)
-    # hState1 distributivity over bind (residual nondeterminism observed).
-    p_ast = gen_program(ts, 4, ("state", "nondet"))
-    k_ast = gen_program(ts + 1, 3, ("state", "nondet"), free_vars=("x",))
-    p = lower(p_ast, SN)
-    kf = lambda a: lower(k_ast, SN, {"x": a})
-    lhs = h_nd(h_state(bind(p, kf), s0))
-    rhs = h_nd(bind(h_state(lower(p_ast, SN), s0),
-                    lambda pair: h_state(kf(pair[0]), pair[1])))
-    if lhs != rhs:
-        _record(report, ts, "dist-hState1; p=%s; k=%s"
-                % (show_ast(p_ast), show_ast(k_ast)), lhs, rhs)
-    # hModify1 distributivity.
-    pm_ast = gen_program(ts + 2, 4, ("modify", "nondet"))
-    km_ast = gen_program(ts + 3, 3, ("modify", "nondet"), free_vars=("x",))
-    pm = lower(pm_ast, MN)
-    kmf = lambda a: lower(km_ast, MN, {"x": a})
-    lhs = h_nd(h_modify(bind(pm, kmf), s0))
-    rhs = h_nd(bind(h_modify(lower(pm_ast, MN), s0),
-                    lambda pair: h_modify(kmf(pair[0]), pair[1])))
-    if lhs != rhs:
-        _record(report, ts, "dist-hModify1; p=%s; k=%s"
-                % (show_ast(pm_ast), show_ast(km_ast)), lhs, rhs)
+    # hState1 and hModify1 distribute over bind (residual nondeterminism
+    # observed).
+    for name, (families, layout), handler, off in (
+            ("hState1", _SN, h_state, 0), ("hModify1", _MN, h_modify, 2)):
+        p_ast = gen_program(ts + off, 4, families)
+        k_ast = gen_program(ts + off + 1, 3, families, free_vars=("x",))
+        kf = lambda a: lower(k_ast, layout, {"x": a})
+        lhs = h_nd(handler(bind(lower(p_ast, layout), kf), s0))
+        rhs = h_nd(bind(handler(lower(p_ast, layout), s0),
+                        lambda pair: handler(kf(pair[0]), pair[1])))
+        if lhs != rhs:
+            _record(report, ts, "dist-%s; p=%s; k=%s"
+                    % (name, show_ast(p_ast), show_ast(k_ast)), lhs, rhs)
 
 
 def _random_trail(rng):
@@ -718,8 +703,10 @@ def _check_state_stack_restored(report, ts, rng):
 
 
 _LEMMA_CHECKS = {
-    "state-restored": _check_state_restored,
-    "modify-restored": _check_modify_restored,
+    "state-restored": _restored(*_SN, lambda t, s0: h_nil(
+        h_state(h_ndf(swap(local2global(t))), s0))),
+    "modify-restored": _restored(*_MN, lambda t, s0: h_nil(
+        h_modify(h_ndf(swap(local2global_m(t))), s0))),
     "pop-extract": _check_pop_extract,
     "stack-eval": _check_stack_eval,
     "dist-bind": _check_dist_bind,

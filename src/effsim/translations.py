@@ -3,19 +3,19 @@
 Five translations:
 
     local2global    Put -> state-restoring putR            [StateF,NondetF|r]
-    nondet2stateS   nondeterminism -> choicepoint state    [NondetF] closed
-    nondet2state    ditto with forwarding                  [NondetF|r]
+    nondet2state    nondeterminism -> choicepoint state    [NondetF|r]
     states2state    two state families -> one pair state
     local2globalM   Update -> update with restoring side   [ModifyF,NondetF|r]
     local2trail     Update/Or instrumented with a trail    [ModifyF,NondetF|r]
 
-plus the composed pipelines `simulate` (choicepoint-stack simulation of
-local state) and `simulate_t` (choicepoint + trail stacks).
+plus the closed and forwarding runs `run_nd` and `run_ndf` of
+`nondet2state`, and the composed pipelines `simulate` (choicepoint-stack
+simulation of local state) and `simulate_t` (choicepoint + trail stacks).
 """
 
 from .core import (
-    Leaf, Node, Get, Put, Fail, Or, MGet, MUpdate, MRestore,
-    bind, tree_map, seq, get, put, fail, or_, update, restore, side,
+    Leaf, Node, Get, Put, Fail, Or, MUpdate,
+    bind, tree_map, seq, get, put, or_, update, restore, side,
     fold, swap, rotate,
 )
 from .handlers import h_state, h_modify, h_nil, INT_UNDO
@@ -83,27 +83,6 @@ def append_s(x, p):
                seq(put(ChoiceState(cs.results + [x], cs.stack)), p))
 
 
-def nondet2state_s(t):
-    """Closed simulation: [NondetF] programs into [StateF(ChoiceState)]."""
-    def alg(idx, op):
-        if idx != 0:
-            raise ValueError("nondet2state_s: residual operation %s at "
-                             "index %d" % (type(op).__name__, idx))
-        if isinstance(op, Fail):
-            return pop_s()
-        if isinstance(op, Or):
-            return push_s(op.r, op.l)
-        raise ValueError("nondet2state_s: non-nondet operation %s at index 0"
-                         % type(op).__name__)
-    return fold(lambda x: append_s(x, pop_s()), alg, t)
-
-
-def run_nd(t):
-    """runND = extractS . hState' . nondet2stateS; equals h_nd."""
-    res = h_nil(h_state(nondet2state_s(t), ChoiceState([], [])))
-    return res[1].results
-
-
 def nondet2state(t):
     """Forwarding simulation: [NondetF|rest] into [StateF(ChoiceState)|rest].
 
@@ -120,6 +99,13 @@ def nondet2state(t):
                              "index 0" % type(op).__name__)
         return Node(idx, op)
     return fold(lambda x: append_s(x, pop_s()), alg, t)
+
+
+def run_nd(t):
+    """runND = extractS . hState' . nondet2state on a closed [NondetF] tree,
+    which has nothing to forward; equals h_nd."""
+    res = h_nil(h_state(nondet2state(t), ChoiceState([], [])))
+    return res[1].results
 
 
 def run_ndf(t):
@@ -157,22 +143,6 @@ def alpha(v):
     """((a, x), y) -> (a, (x, y)) — the carrier isomorphism."""
     (a, x), y = v
     return (a, (x, y))
-
-
-def alpha_inv(v):
-    """(a, (x, y)) -> ((a, x), y)."""
-    a, (x, y) = v
-    return ((a, x), y)
-
-
-def flatten(run2):
-    """Nested two-state run function into a pair-state run function."""
-    return lambda s12: tree_map(run2(s12[0], s12[1]), alpha)
-
-
-def nest(run1):
-    """Pair-state run function into a nested two-state run function."""
-    return lambda s1, s2: tree_map(run1((s1, s2)), alpha_inv)
 
 
 # ---------------------------------------------------------------------------

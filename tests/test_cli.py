@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from effsim.cli import main
+from effsim.cli import main, _build_parser
 
 
 def run(capsys, *argv):
@@ -75,6 +75,29 @@ def test_lemmas_suite(capsys):
                     "--trials", "40", "--seed", "42")
     assert code == 0
     assert "0 failures" in out
+
+
+def test_suite_command_defaults():
+    parse = _build_parser().parse_args
+    d = parse(["difftest", "--suite", "T-localglobal"])
+    assert (d.trials, d.depth) == (1000, 6)
+    assert parse(["laws", "--suite", "nondet"]).trials == 500
+    assert parse(["lemmas", "--suite", "pop-extract"]).trials == 300
+
+
+def test_depth_is_a_difftest_option_only(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["laws", "--suite", "nondet", "--depth", "3"])
+    assert e.value.code == 2
+
+
+def test_lemmas_json(capsys):
+    code, out = run(capsys, "lemmas", "--suite", "pop-extract",
+                    "--trials", "20", "--seed", "7", "--output", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["suite"], payload["trials"]) == ("pop-extract", 20)
+    assert payload["failures"] == []
 
 
 def test_seed_env_fallback(capsys, monkeypatch):

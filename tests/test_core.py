@@ -1,6 +1,9 @@
 """Effect-tree core: fold, bind, monad laws, signature permutations."""
 
+import os
 import random
+import subprocess
+import sys
 
 from hypothesis import given, strategies as st
 
@@ -9,6 +12,7 @@ from effsim.core import (
     get, put, fail, or_, choose, guard, side, ret, swap, rotate, show_tree,
     mget, update, restore,
 )
+import effsim
 from effsim.handlers import h_nd
 
 
@@ -142,3 +146,22 @@ def test_show_tree_stable():
     assert show_tree(put(3, at=0)) == "put@0 3; ret ()"
     assert show_tree(get(Leaf, at=0)) == "get@0 <fun>"
     assert show_tree(mget(Leaf, at=0)) == "mget@0 <fun>"
+
+
+def test_repr_is_show_tree():
+    t = or_(ret(1), seq(put(3), fail()))
+    assert repr(t) == "or@1 (ret 1) (put@0 3; fail@1)"
+
+
+def test_repr_of_deep_tree_does_not_crash():
+    # repr of a 20 000-deep or-chain prints it as show_tree does; a repr
+    # that recursed through C-level formatting overflowed the C stack.
+    code = ("from effsim.core import choose, show_tree\n"
+            "t = choose(range(20000), at=1)\n"
+            "print(repr(t) == show_tree(t), len(repr(t)))\n")
+    src = os.path.dirname(os.path.dirname(effsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True 368896\n"

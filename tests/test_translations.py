@@ -7,12 +7,10 @@ from effsim.core import (
 )
 from effsim.handlers import (
     INT_UNDO, h_nd, h_state, h_ndf, h_nil, h_local, h_global, h_local_m,
-    h_states,
 )
 from effsim.translations import (
     put_r, local2global, ChoiceState, pop_s, push_s, append_s,
-    nondet2state_s, run_nd, nondet2state, run_ndf, states2state,
-    alpha, alpha_inv, flatten, nest, simulate,
+    run_nd, nondet2state, run_ndf, states2state, alpha, simulate,
     local2global_m, local2trail, MARKER, left, push_stack, pop_stack,
     untrail, simulate_t,
 )
@@ -70,7 +68,7 @@ def test_push_append_pop_roundtrip():
     assert res[1].results == ["a", "b"]
 
 
-def test_nondet2state_s_example():
+def test_run_nd_example():
     t = or_(ret(1), or_(fail(at=0), ret(2), at=0), at=0)
     assert run_nd(t) == [1, 2]
 
@@ -104,15 +102,6 @@ def test_states2state_projections():
 def test_alpha_isomorphism():
     v = (("a", 1), 2)
     assert alpha(v) == ("a", (1, 2))
-    assert alpha_inv(alpha(v)) == v
-
-
-def test_flatten_nest_roundtrip():
-    t = seq(put(3, at=0), seq(put(4, at=1), ret("x")))
-    run2 = lambda s1, s2: h_states(t, s1, s2)
-    run1 = flatten(run2)
-    assert h_nil(run1((0, 0))) == ("x", (3, 4))
-    assert h_nil(nest(run1)(0, 0)) == h_nil(run2(0, 0))
 
 
 def test_simulate_equals_h_local():
