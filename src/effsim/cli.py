@@ -8,8 +8,9 @@ Commands:
     bench    --n N
     trace    --pipeline fusedF|fusedTF --n N
 
-Exit codes: 0 success, 1 suite failure, 2 usage error.  The seed falls back
-to the EFFSIM_SEED environment variable, then to 42.
+Exit codes: 0 success, 1 suite failure, 2 usage error.  A suite command
+without --seed takes its seed from the EFFSIM_SEED environment variable, or
+42 when it is unset; a value that is not an integer is a usage error.
 """
 
 import argparse
@@ -27,14 +28,15 @@ from .machines import simulate_f, simulate_tf
 from .handlers import h_nil
 
 
-def _default_seed():
-    env = os.environ.get("EFFSIM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 42
+def _seed(parser, args):
+    """A suite command's seed: --seed, else EFFSIM_SEED, else 42."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("EFFSIM_SEED", "42")
+    try:
+        return int(env)
+    except ValueError:
+        parser.error("EFFSIM_SEED must be an integer, got %r" % (env,))
 
 
 def _positive(kind, minimum=1):
@@ -118,9 +120,6 @@ def _report_exit(report, output):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _default_seed()
 
     if args.command == "queens":
         solutions = run_pipeline(args.pipeline, args.n)
@@ -134,7 +133,7 @@ def main(argv=None):
         return 0
 
     if args.command in _SUITES:
-        report = _SUITES[args.command][3](args, seed)
+        report = _SUITES[args.command][3](args, _seed(parser, args))
         return _report_exit(report, args.output)
 
     if args.command == "bench":

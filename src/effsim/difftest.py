@@ -1,15 +1,17 @@
-"""Differential testing: defunctionalized program generation, an independent
+"""Differential testing: deterministic program generation, an independent
 DFS oracle, and executable encodings of the translation theorems, the
 algebraic laws, and the appendix lemmas.
 
-Programs are drawn from a small AST over integer states and integer results:
+Programs are tagged tuples over integer states and integer results, like
+their expressions:
 
-    Ret(e) | Fail | Or(p, q) | GetBind(v, p) | Put(e, p)
-    | MGetBind(v, p) | Update(e, p) | Seq(p, q)
+    p ::= ("ret", e) | ("fail",) | ("or", p, p) | ("seq", p, p)
+        | ("get", v, p) | ("put", e, p) | ("mget", v, p) | ("update", e, p)
+    e ::= ("const", n) | ("var", v) | ("add", e, e) | ("sub", e, e)
 
-with expressions e ::= const in [-3, 3] | var | e + e | e - e.  The integer
-Undo instance is plus = +, minus = -.  Restore is never generated (the
-translation theorems' precondition).  Reports are JSON-ready records:
+with n in [-3, 3] and v a variable name.  The integer Undo instance is
+plus = +, minus = -.  Restore is never generated (the translation theorems'
+precondition).  Reports are JSON-ready records:
 {suite, seed, trials, failures: [{trialSeed, astText, lhs, rhs}]}.
 """
 
@@ -32,53 +34,8 @@ from .queens import RUNNERS, q_plus, q_minus
 
 
 # ---------------------------------------------------------------------------
-# AST and expressions.
+# Programs and expressions.
 # ---------------------------------------------------------------------------
-
-class Ret:
-    def __init__(self, e):
-        self.e = e
-
-
-class AFail:
-    pass
-
-
-class AOr:
-    def __init__(self, p, q):
-        self.p = p
-        self.q = q
-
-
-class GetBind:
-    def __init__(self, v, p):
-        self.v = v
-        self.p = p
-
-
-class APut:
-    def __init__(self, e, p):
-        self.e = e
-        self.p = p
-
-
-class MGetBind:
-    def __init__(self, v, p):
-        self.v = v
-        self.p = p
-
-
-class AUpdate:
-    def __init__(self, e, p):
-        self.e = e
-        self.p = p
-
-
-class ASeq:
-    def __init__(self, p, q):
-        self.p = p
-        self.q = q
-
 
 def eval_expr(e, env):
     kind = e[0]
@@ -107,22 +64,19 @@ def show_expr(e):
 
 
 def show_ast(p):
-    if isinstance(p, Ret):
-        return "ret %s" % show_expr(p.e)
-    if isinstance(p, AFail):
+    kind = p[0]
+    if kind == "ret":
+        return "ret %s" % show_expr(p[1])
+    if kind == "fail":
         return "fail"
-    if isinstance(p, AOr):
-        return "(%s | %s)" % (show_ast(p.p), show_ast(p.q))
-    if isinstance(p, GetBind):
-        return "get >>= \\%s -> %s" % (p.v, show_ast(p.p))
-    if isinstance(p, APut):
-        return "put %s; %s" % (show_expr(p.e), show_ast(p.p))
-    if isinstance(p, MGetBind):
-        return "mget >>= \\%s -> %s" % (p.v, show_ast(p.p))
-    if isinstance(p, AUpdate):
-        return "update %s; %s" % (show_expr(p.e), show_ast(p.p))
-    if isinstance(p, ASeq):
-        return "(%s) >> (%s)" % (show_ast(p.p), show_ast(p.q))
+    if kind == "or":
+        return "(%s | %s)" % (show_ast(p[1]), show_ast(p[2]))
+    if kind == "seq":
+        return "(%s) >> (%s)" % (show_ast(p[1]), show_ast(p[2]))
+    if kind in ("get", "mget"):
+        return "%s >>= \\%s -> %s" % (kind, p[1], show_ast(p[2]))
+    if kind in ("put", "update"):
+        return "%s %s; %s" % (kind, show_expr(p[1]), show_ast(p[2]))
     raise ValueError("bad ast %r" % (p,))
 
 
@@ -155,28 +109,18 @@ def _gen_ast(rng, depth, families, vars_, counter):
         if "modify" in families:
             kinds += ["mget", "update", "update"]
         kind = rng.choice(kinds)
+    sub = lambda vs=vars_: _gen_ast(rng, depth - 1, families, vs, counter)
     if kind == "ret":
-        return Ret(_gen_expr(rng, vars_))
+        return ("ret", _gen_expr(rng, vars_))
     if kind == "fail":
-        return AFail()
-    if kind == "or":
-        return AOr(_gen_ast(rng, depth - 1, families, vars_, counter),
-                   _gen_ast(rng, depth - 1, families, vars_, counter))
-    if kind == "seq":
-        return ASeq(_gen_ast(rng, depth - 1, families, vars_, counter),
-                    _gen_ast(rng, depth - 1, families, vars_, counter))
+        return ("fail",)
+    if kind in ("or", "seq"):
+        return (kind, sub(), sub())
     if kind in ("get", "mget"):
         v = "v%d" % counter[0]
         counter[0] += 1
-        body = _gen_ast(rng, depth - 1, families, vars_ + [v], counter)
-        return GetBind(v, body) if kind == "get" else MGetBind(v, body)
-    if kind == "put":
-        return APut(_gen_expr(rng, vars_),
-                    _gen_ast(rng, depth - 1, families, vars_, counter))
-    if kind == "update":
-        return AUpdate(_gen_expr(rng, vars_),
-                       _gen_ast(rng, depth - 1, families, vars_, counter))
-    raise AssertionError(kind)
+        return (kind, v, sub(vars_ + [v]))
+    return (kind, _gen_expr(rng, vars_), sub())  # put, update
 
 
 def gen_program(seed, depth, families, free_vars=()):
@@ -191,39 +135,37 @@ def gen_program(seed, depth, families, free_vars=()):
 # ---------------------------------------------------------------------------
 
 def lower(ast, layout, env=None):
-    """Lower an AST to an effect tree.  layout maps family names to
-    injection indices; entry "modify_as_state" (an index) lowers MGet/Update
+    """Lower a program to an effect tree.  layout maps family names to
+    injection indices; entry "modify_as_state" (an index) lowers mget/update
     to a second plain-state family instead of ModifyF."""
     env = env or {}
-    if isinstance(ast, Ret):
-        return Leaf(eval_expr(ast.e, env))
-    if isinstance(ast, AFail):
+    kind = ast[0]
+    if kind == "ret":
+        return Leaf(eval_expr(ast[1], env))
+    if kind == "fail":
         return fail(at=layout["nondet"])
-    if isinstance(ast, AOr):
-        return or_(lower(ast.p, layout, env), lower(ast.q, layout, env),
+    if kind == "or":
+        return or_(lower(ast[1], layout, env), lower(ast[2], layout, env),
                    at=layout["nondet"])
-    if isinstance(ast, GetBind):
-        return get(lambda s: lower(ast.p, layout, dict(env, **{ast.v: s})),
-                   at=layout["state"])
-    if isinstance(ast, APut):
-        return seq(put(eval_expr(ast.e, env), at=layout["state"]),
-                   lower(ast.p, layout, env))
-    if isinstance(ast, MGetBind):
-        at = layout.get("modify_as_state", layout.get("modify"))
-        return get(lambda s: lower(ast.p, layout, dict(env, **{ast.v: s})),
-                   at=at) if "modify_as_state" in layout else \
-            mget(lambda s: lower(ast.p, layout, dict(env, **{ast.v: s})),
-                 at=layout["modify"])
-    if isinstance(ast, AUpdate):
-        r = eval_expr(ast.e, env)
+    if kind == "seq":
+        return bind(lower(ast[1], layout, env),
+                    lambda _x: lower(ast[2], layout, env))
+    if kind in ("get", "mget"):
+        body = lambda s: lower(ast[2], layout, dict(env, **{ast[1]: s}))
+        if kind == "mget" and "modify_as_state" not in layout:
+            return mget(body, at=layout["modify"])
+        return get(body, at=layout["state" if kind == "get"
+                                   else "modify_as_state"])
+    if kind == "put":
+        return seq(put(eval_expr(ast[1], env), at=layout["state"]),
+                   lower(ast[2], layout, env))
+    if kind == "update":
+        r = eval_expr(ast[1], env)
         if "modify_as_state" in layout:
             at = layout["modify_as_state"]
-            return get(lambda s, r=r: seq(put(s + r, at=at),
-                                          lower(ast.p, layout, env)), at=at)
-        return seq(update(r, at=layout["modify"]), lower(ast.p, layout, env))
-    if isinstance(ast, ASeq):
-        return bind(lower(ast.p, layout, env),
-                    lambda _x: lower(ast.q, layout, env))
+            return get(lambda s: seq(put(s + r, at=at),
+                                     lower(ast[2], layout, env)), at=at)
+        return seq(update(r, at=layout["modify"]), lower(ast[2], layout, env))
     raise ValueError("bad ast %r" % (ast,))
 
 
@@ -232,57 +174,41 @@ def lower(ast, layout, env=None):
 # ---------------------------------------------------------------------------
 
 def oracle_eval(ast, s0, mode):
-    """Evaluate an AST directly, without trees or handlers.
+    """Evaluate a program directly, without trees or handlers.
 
-    mode "local": each branch owns a copy of the state; returns answers.
-    mode "global": one state threaded through the DFS; returns a dict with
-    answers and finalState.
+    One DFS threads the state through the whole program.  The two modes
+    differ only in the state the right arm of an or starts from: the state
+    at the or ("local": each branch owns a copy of the state) or the state
+    the left arm ended in ("global": one state, never restored).  Returns a
+    dict with the mode and the answers, plus finalState under "global".
     """
+    if mode not in ("local", "global"):
+        raise ValueError("unknown oracle mode %r" % (mode,))
+
+    def ev(p, env, s, k):
+        kind = p[0]
+        if kind == "ret":
+            return k(eval_expr(p[1], env), s)
+        if kind == "fail":
+            return [], s
+        if kind == "or":
+            a1, s1 = ev(p[1], env, s, k)
+            a2, s2 = ev(p[2], env, s if mode == "local" else s1, k)
+            return a1 + a2, s2
+        if kind == "seq":
+            return ev(p[1], env, s, lambda _a, s2: ev(p[2], env, s2, k))
+        if kind in ("get", "mget"):
+            return ev(p[2], dict(env, **{p[1]: s}), s, k)
+        if kind == "put":
+            return ev(p[2], env, eval_expr(p[1], env), k)
+        if kind == "update":
+            return ev(p[2], env, s + eval_expr(p[1], env), k)
+        raise ValueError("bad ast %r" % (p,))
+
+    answers, s_final = ev(ast, {}, s0, lambda a, s: ([a], s))
     if mode == "local":
-        def ev(p, env, s, k):
-            if isinstance(p, Ret):
-                return k(eval_expr(p.e, env), s)
-            if isinstance(p, AFail):
-                return []
-            if isinstance(p, AOr):
-                return ev(p.p, env, s, k) + ev(p.q, env, s, k)
-            if isinstance(p, GetBind) or isinstance(p, MGetBind):
-                return ev(p.p, dict(env, **{p.v: s}), s, k)
-            if isinstance(p, APut):
-                return ev(p.p, env, eval_expr(p.e, env), k)
-            if isinstance(p, AUpdate):
-                return ev(p.p, env, s + eval_expr(p.e, env), k)
-            if isinstance(p, ASeq):
-                return ev(p.p, env, s,
-                          lambda _a, s2: ev(p.q, env, s2, k))
-            raise ValueError("bad ast %r" % (p,))
-        return {"mode": "local",
-                "answers": ev(ast, {}, s0, lambda a, _s: [a])}
-
-    if mode == "global":
-        def ev(p, env, s, k):
-            if isinstance(p, Ret):
-                return k(eval_expr(p.e, env), s)
-            if isinstance(p, AFail):
-                return ([], s)
-            if isinstance(p, AOr):
-                a1, s1 = ev(p.p, env, s, k)
-                a2, s2 = ev(p.q, env, s1, k)
-                return (a1 + a2, s2)
-            if isinstance(p, GetBind) or isinstance(p, MGetBind):
-                return ev(p.p, dict(env, **{p.v: s}), s, k)
-            if isinstance(p, APut):
-                return ev(p.p, env, eval_expr(p.e, env), k)
-            if isinstance(p, AUpdate):
-                return ev(p.p, env, s + eval_expr(p.e, env), k)
-            if isinstance(p, ASeq):
-                return ev(p.p, env, s,
-                          lambda _a, s2: ev(p.q, env, s2, k))
-            raise ValueError("bad ast %r" % (p,))
-        answers, s_final = ev(ast, {}, s0, lambda a, s: ([a], s))
-        return {"mode": "global", "answers": answers, "finalState": s_final}
-
-    raise ValueError("unknown oracle mode %r" % (mode,))
+        return {"mode": "local", "answers": answers}
+    return {"mode": "global", "answers": answers, "finalState": s_final}
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +223,13 @@ def _report(suite, seed, trials):
     return {"suite": suite, "seed": seed, "trials": trials, "failures": []}
 
 
+def _failure(trial_seed, ast_text, lhs, rhs):
+    return {"trialSeed": trial_seed, "astText": ast_text,
+            "lhs": repr(lhs), "rhs": repr(rhs)}
+
+
 def _record(report, trial_seed, ast_text, lhs, rhs):
-    report["failures"].append({
-        "trialSeed": trial_seed,
-        "astText": ast_text,
-        "lhs": repr(lhs),
-        "rhs": repr(rhs),
-    })
+    report["failures"].append(_failure(trial_seed, ast_text, lhs, rhs))
 
 
 SN = {"state": 0, "nondet": 1}        # [StateF, NondetF]
@@ -378,10 +304,21 @@ def check_theorem(ident, trials, seed, depth=6):
 # Law suites.
 # ---------------------------------------------------------------------------
 
-def _ctx(rng, ts, families, layout):
-    """A random continuation: an open AST over 'x', lowered per answer."""
+def _ctx(ts, families, layout):
+    """A random continuation: an open program over 'x', lowered per answer."""
     k_ast = gen_program(ts ^ 0x5DEECE66D, 3, families, free_vars=("x",))
     return (lambda a: lower(k_ast, layout, {"x": a})), k_ast
+
+
+def _one_family_ctx(ts, family):
+    """The contexts of a law suite over one family at index 0: k and its
+    program (_ctx), kc for unit-valued laws, and k2 over 'x' and 'y'."""
+    layout = {family: 0}
+    k, k_ast = _ctx(ts, (family,), layout)
+    kc_ast = gen_program(ts + 8, 3, (family,))
+    k2_ast = gen_program(ts + 7, 2, (family,), free_vars=("x", "y"))
+    return (k, k_ast, lambda _a: lower(kc_ast, layout),
+            lambda a, b: lower(k2_ast, layout, {"x": a, "y": b}))
 
 
 def _compare(report, ts, cases, detail):
@@ -397,7 +334,7 @@ def _check_nondet_laws(report, ts, rng):
     m_ast = gen_program(ts, 3, ("nondet",))
     n_ast = gen_program(ts + 1, 3, ("nondet",))
     o_ast = gen_program(ts + 2, 3, ("nondet",))
-    k, k_ast = _ctx(rng, ts, ("nondet",), n0)
+    k, k_ast = _ctx(ts, ("nondet",), n0)
     m = lambda: lower(m_ast, n0)
     n = lambda: lower(n_ast, n0)
     o = lambda: lower(o_ast, n0)
@@ -411,14 +348,9 @@ def _check_nondet_laws(report, ts, rng):
 
 
 def _check_state_laws(report, ts, rng):
-    s_fam = {"state": 0, "nondet": 0}  # nondet unused
     s, s2 = rng.randint(-3, 3), rng.randint(-3, 3)
     s0 = rng.randint(-3, 3)
-    k, k_ast = _ctx(rng, ts, ("state",), s_fam)
-    kc_ast = gen_program(ts + 8, 3, ("state",))
-    kc = lambda _a: lower(kc_ast, s_fam)  # context for unit-valued laws
-    k2_ast = gen_program(ts + 7, 2, ("state",), free_vars=("x", "y"))
-    k2 = lambda a, b: lower(k2_ast, s_fam, {"x": a, "y": b})
+    k, k_ast, kc, k2 = _one_family_ctx(ts, "state")
     run = lambda t, kk=k: h_nil(h_state(bind(t, kk), s0))
     _compare(report, ts, [
         ("put-put", run(seq(put(s), put(s2)), kc), run(put(s2), kc)),
@@ -434,7 +366,7 @@ def _check_localstate_laws(report, ts, rng):
     s0 = rng.randint(-3, 3)
     m_ast = gen_program(ts, 3, ("state", "nondet"))
     n_ast = gen_program(ts + 1, 3, ("state", "nondet"))
-    k, k_ast = _ctx(rng, ts, ("state", "nondet"), SN)
+    k, k_ast = _ctx(ts, ("state", "nondet"), SN)
     k1_ast = gen_program(ts + 5, 3, ("state", "nondet"), free_vars=("x",))
     k2_ast = gen_program(ts + 6, 3, ("state", "nondet"), free_vars=("x",))
     m = lambda: lower(m_ast, SN)
@@ -458,7 +390,7 @@ def _check_globalstate_laws(report, ts, rng):
     s0 = rng.randint(-3, 3)
     m_ast = gen_program(ts, 3, ("state", "nondet"))
     n_ast = gen_program(ts + 1, 3, ("state", "nondet"))
-    k, k_ast = _ctx(rng, ts, ("state", "nondet"), SN)
+    k, k_ast = _ctx(ts, ("state", "nondet"), SN)
     l = bind(or_(seq(put(s), lower(m_ast, SN)), lower(n_ast, SN)), k)
     r = bind(seq(put(s), or_(lower(m_ast, SN), lower(n_ast, SN))), k)
     detail = lambda: "s=%d s0=%d; m=%s; n=%s; k=%s" % (
@@ -469,12 +401,8 @@ def _check_globalstate_laws(report, ts, rng):
     if report.get("counterexample") is None:
         lloc, rloc = h_nil(h_local(l, s0)), h_nil(h_local(r, s0))
         if lloc != rloc:
-            report["counterexample"] = {
-                "trialSeed": ts,
-                "astText": "law=put-or under local; " + detail(),
-                "lhs": repr(lloc),
-                "rhs": repr(rloc),
-            }
+            report["counterexample"] = _failure(
+                ts, "law=put-or under local; " + detail(), lloc, rloc)
 
 
 def _check_undo_laws(report, ts, rng):
@@ -493,14 +421,9 @@ def _check_undo_laws(report, ts, rng):
 
 
 def _check_modify_laws(report, ts, rng):
-    m_fam = {"modify": 0, "nondet": 0}  # nondet unused
     s0 = rng.randint(-3, 3)
     r = rng.randint(-3, 3)
-    k, k_ast = _ctx(rng, ts, ("modify",), m_fam)
-    kc_ast = gen_program(ts + 8, 3, ("modify",))
-    kc = lambda _a: lower(kc_ast, m_fam)  # context for unit-valued laws
-    k2_ast = gen_program(ts + 7, 2, ("modify",), free_vars=("x", "y"))
-    k2 = lambda a, b: lower(k2_ast, m_fam, {"x": a, "y": b})
+    k, k_ast, kc, k2 = _one_family_ctx(ts, "modify")
     run = lambda t, kk=k: h_nil(h_modify(bind(t, kk), s0))
     _compare(report, ts, [
         ("mget-mget", run(mget(lambda v: mget(lambda w: k2(v, w)))),
@@ -659,11 +582,10 @@ def _random_trail(rng):
 def _check_trail_tracks(report, ts, rng):
     ast = gen_program(ts, 5, ("modify", "nondet"))
     s0 = rng.randint(-3, 3)
-    t1 = []
     t2 = _random_trail(rng)
-    u = local2trail(lower(ast, MN))
-    (res1, sf1), tf1 = _trail_run(u, s0, t1)
-    (res2, sf2), tf2 = _trail_run(local2trail(lower(ast, MN)), s0, list(t2))
+    u = local2trail(lower(ast, MN))  # trees are immutable: both runs share it
+    (res1, sf1), tf1 = _trail_run(u, s0, [])
+    (res2, sf2), tf2 = _trail_run(u, s0, list(t2))
     ok = (res1 == res2 and sf1 == sf2 and tf1 + t2 == tf2
           and all(e[0] == "left" for e in tf1)
           and sf1 == s0 + sum(e[1] for e in tf1))
@@ -689,17 +611,15 @@ def _check_state_stack_restored(report, ts, rng):
     ast = gen_program(ts, 5, ("modify", "nondet"))
     s0 = rng.randint(-3, 3)
     t0 = _random_trail(rng)
+    u = local2trail(lower(ast, MN))  # trees are immutable: both runs share it
     # Marker-push, run, untrail — sequentially threading state and trail.
     (_r1, s1), tr1 = _trail_run(push_stack(MARKER), s0, list(t0))
-    (res, s2), tr2 = _trail_run(local2trail(lower(ast, MN)), s1, tr1)
+    (res, s2), tr2 = _trail_run(u, s1, tr1)
     (_r3, s3), tr3 = _trail_run(untrail(), s2, tr2)
-    (res_ref, _sref), _tref = _trail_run(local2trail(lower(ast, MN)), s0, [])
-    answers = res
-    answers_ref = res_ref
-    if not (answers == answers_ref and s3 == s0 and tr3 == t0):
+    (res_ref, _sref), _tref = _trail_run(u, s0, [])
+    if not (res == res_ref and s3 == s0 and tr3 == t0):
         _record(report, ts, "state-stack-restored; s0=%d t0=%r; %s"
-                % (s0, t0, show_ast(ast)),
-                (answers, s3, tr3), (answers_ref, s0, t0))
+                % (s0, t0, show_ast(ast)), (res, s3, tr3), (res_ref, s0, t0))
 
 
 _LEMMA_CHECKS = {

@@ -150,7 +150,7 @@ def h_nil(t):
     """
     if isinstance(t, Leaf):
         return t.value
-    raise RuntimeError(
+    raise ValueError(
         "h_nil applied to an operation node (idx=%d, op=%s): "
         "residual signature was expected to be empty"
         % (t.idx, type(t.op).__name__))

@@ -108,6 +108,24 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 123
 
 
+def test_seed_env_malformed_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("EFFSIM_SEED", "abc")
+    with pytest.raises(SystemExit) as e:
+        main(["laws", "--suite", "undo", "--trials", "5"])
+    assert e.value.code == 2
+    assert "EFFSIM_SEED" in capsys.readouterr().err
+    # --seed wins, so the variable is not read.
+    code, out = run(capsys, "laws", "--suite", "undo", "--trials", "5",
+                    "--seed", "3", "--output", "json")
+    assert (code, json.loads(out)["seed"]) == (0, 3)
+
+
+def test_seed_env_ignored_outside_suite_commands(capsys, monkeypatch):
+    monkeypatch.setenv("EFFSIM_SEED", "abc")
+    code, out = run(capsys, "queens", "--n", "4")
+    assert code == 0 and out.splitlines()[-1] == "2 solutions"
+
+
 def test_bench_agreement(capsys):
     code, out = run(capsys, "bench", "--n", "5", "--output", "json")
     assert code == 0

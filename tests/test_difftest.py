@@ -2,7 +2,6 @@
 
 from effsim.core import Leaf
 from effsim.difftest import (
-    Ret, AFail, AOr, GetBind, APut, ASeq, AUpdate, MGetBind,
     eval_expr, show_ast, gen_program, lower, oracle_eval,
     SN, NS, MN, SS2, _trial_seed,
     THEOREM_IDS, check_theorem,
@@ -10,7 +9,7 @@ from effsim.difftest import (
     LEMMA_IDS, check_lemma,
     MUTATIONS, check_mutation,
 )
-from effsim.handlers import h_nil, h_local, h_global
+from effsim.handlers import h_nil, h_local, h_global, h_local_m, h_global_m
 
 
 def test_eval_expr():
@@ -47,21 +46,58 @@ def test_lower_layouts_agree():
 
 def test_oracle_local_litmus():
     # put 1; ((put 2; get x; ret x) | (get y; ret y))
-    ast = APut(("const", 1),
-               AOr(APut(("const", 2), GetBind("x", Ret(("var", "x")))),
-                   GetBind("y", Ret(("var", "y")))))
+    ast = ("put", ("const", 1),
+           ("or", ("put", ("const", 2), ("get", "x", ("ret", ("var", "x")))),
+            ("get", "y", ("ret", ("var", "y")))))
     assert oracle_eval(ast, 0, "local") == {"mode": "local", "answers": [2, 1]}
     g = oracle_eval(ast, 0, "global")
     assert g["answers"] == [2, 2] and g["finalState"] == 2
 
 
 def test_oracle_matches_handlers():
-    for seed in range(200):
-        ast = gen_program(seed, 6, ("state", "nondet"))
-        t = lower(ast, SN)
-        assert h_nil(h_local(t, 0)) == oracle_eval(ast, 0, "local")["answers"]
-        g = oracle_eval(ast, 0, "global")
-        assert h_nil(h_global(t, 0)) == g["answers"]
+    # The modify input runs the oracle's mget and update branches.
+    for families, layout, local, global_ in (
+            (("state", "nondet"), SN, h_local, h_global),
+            (("modify", "nondet"), MN, h_local_m, h_global_m)):
+        for seed in range(200):
+            ast = gen_program(seed, 6, families)
+            t = lower(ast, layout)
+            assert h_nil(local(t, 0)) \
+                == oracle_eval(ast, 0, "local")["answers"], (families, seed)
+            assert h_nil(global_(t, 0)) \
+                == oracle_eval(ast, 0, "global")["answers"], (families, seed)
+
+
+def test_oracle_unknown_mode():
+    import pytest
+    with pytest.raises(ValueError):
+        oracle_eval(("ret", ("const", 0)), 0, "nope")
+
+
+# sha256 over show_ast of seeds 0..49 at depth 6 for every family set the
+# suites use, open over (), ("x",) and ("x", "y"), plus oracle_eval of the
+# closed programs in both modes.  Taken before programs were tagged tuples.
+CORPUS_DIGEST = \
+    "02dbb829ae64fcf615e4f7057646b7fdc7db5705ecb4a5106c69e04afa6eec04"
+
+
+def test_program_corpus_pinned():
+    import hashlib
+    import json
+    lines = []
+    for families in (("nondet",), ("state",), ("modify",),
+                     ("state", "nondet"), ("modify", "nondet"),
+                     ("state", "modify", "nondet")):
+        for free in ((), ("x",), ("x", "y")):
+            for seed in range(50):
+                ast = gen_program(seed, 6, families, free)
+                lines.append(show_ast(ast))
+                if not free:
+                    lines.append(json.dumps(
+                        [oracle_eval(ast, seed % 7 - 3, mode)
+                         for mode in ("local", "global")], sort_keys=True))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_DIGEST
 
 
 def test_trial_seed_spread():

@@ -129,7 +129,7 @@ def test_h_ndf_residual_resumes_repeatedly():
 
 
 def test_h_nil_rejects_ops():
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError):
         h_nil(fail(at=0))
 
 

@@ -33,3 +33,40 @@ def test_tracer_sees_every_call_and_workloads_run():
         assert tracer.calls["handlers.h_nd"] > 0
     finally:
         tracer.uninstall()
+
+
+
+def test_tracer_counts_difftest_calls():
+    # A dispatch table that held a core constructor or a handler would keep
+    # the original function, which the blind-spot check cannot see: its
+    # calls would drop out of the counts below.
+    from effsim import difftest as D
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        D.check_theorem("T-statesstate", 3, 42)
+        D.check_laws("modify", 3, 42)
+        program = D.gen_program(5, 4, ("state", "nondet"))
+        D.oracle_eval(program, 0, "local")
+        D.oracle_eval(program, 0, "global")
+        suites = dict(tracer.calls)
+        # Each program form lowered alone, since the law suites also call
+        # core constructors directly and would hide a capture in lower.
+        ret = ("ret", ("const", 1))
+        lowered = {}
+        for key, form, layout in (
+                ("core.get", ("get", "v", ret), D.SN),
+                ("core.mget", ("mget", "v", ret), D.MN),
+                ("core.put", ("put", ("const", 1), ret), D.SN),
+                ("core.update", ("update", ("const", 1), ret), D.MN),
+                ("core.bind", ("seq", ret, ret), D.SN)):
+            before = tracer.calls[key]
+            D.lower(form, layout)
+            lowered[key] = tracer.calls[key] > before
+    finally:
+        tracer.uninstall()
+    for key in ("difftest.gen_program", "difftest.lower", "core.get",
+                "core.mget", "core.put", "core.update", "core.bind"):
+        assert suites.get(key, 0) > 0, key
+    assert suites["difftest.oracle_eval"] == 2
+    assert all(lowered.values()), lowered
