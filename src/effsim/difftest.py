@@ -219,10 +219,6 @@ def _trial_seed(seed, i):
     return seed * 1_000_003 + i
 
 
-def _report(suite, seed, trials):
-    return {"suite": suite, "seed": seed, "trials": trials, "failures": []}
-
-
 def _failure(trial_seed, ast_text, lhs, rhs):
     return {"trialSeed": trial_seed, "astText": ast_text,
             "lhs": repr(lhs), "rhs": repr(rhs)}
@@ -230,6 +226,40 @@ def _failure(trial_seed, ast_text, lhs, rhs):
 
 def _record(report, trial_seed, ast_text, lhs, rhs):
     report["failures"].append(_failure(trial_seed, ast_text, lhs, rhs))
+
+
+def _trials(suite, check, trials, seed, first=False):
+    """The trial loop of every suite: check(report, ts, rng) records what it
+    finds for each trial seed ts.  With first, stop after the first trial
+    that records a failure and note its index as firstFailingTrial."""
+    report = {"suite": suite, "seed": seed, "trials": trials, "failures": []}
+    for i in range(trials):
+        ts = _trial_seed(seed, i)
+        check(report, ts, random.Random(ts))
+        if first and report["failures"]:
+            report["firstFailingTrial"] = i
+            break
+    return report
+
+
+def _row(table, kind, ident):
+    """table[ident], or the suite's unknown-id error."""
+    if ident not in table:
+        raise ValueError("unknown %s %r" % (kind, ident))
+    return table[ident]
+
+
+def _agree(families, layout, lhs, rhs, depth):
+    """A check that lhs(t, s0) == rhs(t, s0) on a random program over the
+    families, lowered at the layout to t, from a random initial state s0."""
+    def check(report, ts, rng):
+        s0 = rng.randint(-3, 3)
+        ast = gen_program(ts, depth, families)
+        t = lower(ast, layout)  # trees are immutable: both sides share it
+        l, r = lhs(t, s0), rhs(t, s0)
+        if l != r:
+            _record(report, ts, "s0=%d; %s" % (s0, show_ast(ast)), l, r)
+    return check
 
 
 SN = {"state": 0, "nondet": 1}        # [StateF, NondetF]
@@ -250,8 +280,7 @@ def _runner(name, undo=INT_UNDO):
 _SN = (("state", "nondet"), SN)   # (families, layout) of a state row
 _MN = (("modify", "nondet"), MN)  # ... and of a modify row
 
-# Each translation theorem as (families, layout, lhs, rhs): random programs
-# over the families, lowered at the layout, must give equal sides.
+# Each translation theorem as (families, layout, lhs, rhs), an _agree check.
 THEOREMS = {
     "T-localglobal": _SN + (_runner("local"), _runner("global")),
     "T-nondetstateS": (("nondet",), {"nondet": 0}, _runner("naive"),
@@ -275,29 +304,10 @@ THEOREMS = {
 THEOREM_IDS = tuple(THEOREMS)
 
 
-def _differences(report, row, trials, seed, depth):
-    """Run both sides of a (families, layout, lhs, rhs) row on random
-    programs; record each trial whose sides differ and yield its index."""
-    families, layout, lhs, rhs = row
-    for i in range(trials):
-        ts = _trial_seed(seed, i)
-        s0 = random.Random(ts).randint(-3, 3)
-        ast = gen_program(ts, depth, families)
-        t = lower(ast, layout)  # trees are immutable: both sides share it
-        l, r = lhs(t, s0), rhs(t, s0)
-        if l != r:
-            _record(report, ts, "s0=%d; %s" % (s0, show_ast(ast)), l, r)
-            yield i
-
-
 def check_theorem(ident, trials, seed, depth=6):
     """Compare both sides of a translation theorem on random programs."""
-    if ident not in THEOREMS:
-        raise ValueError("unknown theorem id %r" % (ident,))
-    report = _report(ident, seed, trials)
-    for _i in _differences(report, THEOREMS[ident], trials, seed, depth):
-        pass
-    return report
+    row = _row(THEOREMS, "theorem id", ident)
+    return _trials(ident, _agree(*row, depth), trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +345,14 @@ def _check_nondet_laws(report, ts, rng):
     n_ast = gen_program(ts + 1, 3, ("nondet",))
     o_ast = gen_program(ts + 2, 3, ("nondet",))
     k, k_ast = _ctx(ts, ("nondet",), n0)
-    m = lambda: lower(m_ast, n0)
-    n = lambda: lower(n_ast, n0)
-    o = lambda: lower(o_ast, n0)
+    # Trees are immutable: every law shares each lowered program.
+    m, n, o = (lower(a, n0) for a in (m_ast, n_ast, o_ast))
     run = lambda t: h_nd(bind(t, k))
     _compare(report, ts, [
-        ("identity-left", run(or_(fail(at=0), m(), at=0)), run(m())),
-        ("identity-right", run(or_(m(), fail(at=0), at=0)), run(m())),
-        ("assoc", run(or_(or_(m(), n(), at=0), o(), at=0)),
-         run(or_(m(), or_(n(), o(), at=0), at=0))),
+        ("identity-left", run(or_(fail(at=0), m, at=0)), run(m)),
+        ("identity-right", run(or_(m, fail(at=0), at=0)), run(m)),
+        ("assoc", run(or_(or_(m, n, at=0), o, at=0)),
+         run(or_(m, or_(n, o, at=0), at=0))),
     ], lambda: "m=%s; k=%s" % (show_ast(m_ast), show_ast(k_ast)))
 
 
@@ -361,40 +370,40 @@ def _check_state_laws(report, ts, rng):
     ], lambda: "s=%d s'=%d s0=%d; k=%s" % (s, s2, s0, show_ast(k_ast)))
 
 
-def _check_localstate_laws(report, ts, rng):
-    s = rng.randint(-3, 3)
-    s0 = rng.randint(-3, 3)
+def _state_nondet_ctx(ts, rng):
+    """The localstate and globalstate law suites' s, s0, programs m and n
+    lowered at SN (shared by every law: trees are immutable), context k, and
+    failure detail."""
+    s, s0 = rng.randint(-3, 3), rng.randint(-3, 3)
     m_ast = gen_program(ts, 3, ("state", "nondet"))
     n_ast = gen_program(ts + 1, 3, ("state", "nondet"))
     k, k_ast = _ctx(ts, ("state", "nondet"), SN)
+    detail = lambda: "s=%d s0=%d; m=%s; n=%s; k=%s" % (
+        s, s0, show_ast(m_ast), show_ast(n_ast), show_ast(k_ast))
+    return s, s0, lower(m_ast, SN), lower(n_ast, SN), k, detail
+
+
+def _check_localstate_laws(report, ts, rng):
+    s, s0, m, n, k, detail = _state_nondet_ctx(ts, rng)
     k1_ast = gen_program(ts + 5, 3, ("state", "nondet"), free_vars=("x",))
     k2_ast = gen_program(ts + 6, 3, ("state", "nondet"), free_vars=("x",))
-    m = lambda: lower(m_ast, SN)
-    n = lambda: lower(n_ast, SN)
     k1 = lambda a: lower(k1_ast, SN, {"x": a})
     k2 = lambda a: lower(k2_ast, SN, {"x": a})
     run = lambda t: h_nil(h_local(bind(t, k), s0))
     _compare(report, ts, [
         ("put-right-identity", run(seq(put(s), fail())), run(fail())),
-        ("put-left-dist", run(seq(put(s), or_(m(), n()))),
-         run(or_(seq(put(s), m()), seq(put(s), n())))),
+        ("put-left-dist", run(seq(put(s), or_(m, n))),
+         run(or_(seq(put(s), m), seq(put(s), n)))),
         ("get-right-identity", run(seq(get(Leaf), fail())), run(fail())),
         ("get-left-dist", run(get(lambda v: or_(k1(v), k2(v)))),
          run(or_(get(k1), get(k2)))),
-    ], lambda: "s=%d s0=%d; m=%s; n=%s; k=%s" % (
-        s, s0, show_ast(m_ast), show_ast(n_ast), show_ast(k_ast)))
+    ], detail)
 
 
 def _check_globalstate_laws(report, ts, rng):
-    s = rng.randint(-3, 3)
-    s0 = rng.randint(-3, 3)
-    m_ast = gen_program(ts, 3, ("state", "nondet"))
-    n_ast = gen_program(ts + 1, 3, ("state", "nondet"))
-    k, k_ast = _ctx(ts, ("state", "nondet"), SN)
-    l = bind(or_(seq(put(s), lower(m_ast, SN)), lower(n_ast, SN)), k)
-    r = bind(seq(put(s), or_(lower(m_ast, SN), lower(n_ast, SN))), k)
-    detail = lambda: "s=%d s0=%d; m=%s; n=%s; k=%s" % (
-        s, s0, show_ast(m_ast), show_ast(n_ast), show_ast(k_ast))
+    s, s0, m, n, k, detail = _state_nondet_ctx(ts, rng)
+    l = bind(or_(seq(put(s), m), n), k)
+    r = bind(seq(put(s), or_(m, n)), k)
     _compare(report, ts, [("put-or", h_nil(h_global(l, s0)),
                            h_nil(h_global(r, s0)))], detail)
     # Counterexample search: the same law must be violable under hLocal.
@@ -449,21 +458,10 @@ _LAW_CHECKS = {
 LAW_SUITES = tuple(_LAW_CHECKS)
 
 
-def _trial_loop(checks, kind, ident, trials, seed):
-    """The trial loop of the law and lemma suites: checks[ident](report, ts,
-    rng) records what it finds, for each trial seed ts."""
-    if ident not in checks:
-        raise ValueError("unknown %s %r" % (kind, ident))
-    report = _report(ident, seed, trials)
-    for i in range(trials):
-        ts = _trial_seed(seed, i)
-        checks[ident](report, ts, random.Random(ts))
-    return report
-
-
 def check_laws(suite, trials, seed):
     """Check a law suite in random contexts (>>= k) on random programs."""
-    report = _trial_loop(_LAW_CHECKS, "law suite", suite, trials, seed)
+    report = _trials(suite, _row(_LAW_CHECKS, "law suite", suite), trials,
+                     seed)
     if suite == "globalstate" and report.setdefault("counterexample",
                                                     None) is None:
         report["failures"].append({
@@ -487,19 +485,6 @@ def _trail_run(t, s, trail, undo=INT_UNDO):
     """
     w = h_modify(h_ndf(swap(t)), s, undo)
     return h_nil(h_state(w, trail))
-
-
-def _restored(families, layout, run):
-    """Lemma: run(t, s0), a restoring translation and its handlers, ends in
-    state s0 on every program t over the families, lowered at the layout."""
-    def check(report, ts, rng):
-        ast = gen_program(ts, 5, families)
-        s0 = rng.randint(-3, 3)
-        (_results, s_final) = run(lower(ast, layout), s0)
-        if s_final != s0:
-            _record(report, ts, "s0=%d; %s" % (s0, show_ast(ast)),
-                    s_final, s0)
-    return check
 
 
 def _machine_state(rng, ts):
@@ -579,11 +564,18 @@ def _random_trail(rng):
     return out
 
 
-def _check_trail_tracks(report, ts, rng):
+def _trail_case(ts, rng):
+    """A program over [ModifyF, NondetF], an initial state s0, a random
+    trail, and the program's local2trail translation (trees are immutable:
+    every run shares it)."""
     ast = gen_program(ts, 5, ("modify", "nondet"))
     s0 = rng.randint(-3, 3)
-    t2 = _random_trail(rng)
-    u = local2trail(lower(ast, MN))  # trees are immutable: both runs share it
+    trail = _random_trail(rng)
+    return ast, s0, trail, local2trail(lower(ast, MN))
+
+
+def _check_trail_tracks(report, ts, rng):
+    ast, s0, t2, u = _trail_case(ts, rng)
     (res1, sf1), tf1 = _trail_run(u, s0, [])
     (res2, sf2), tf2 = _trail_run(u, s0, list(t2))
     ok = (res1 == res2 and sf1 == sf2 and tf1 + t2 == tf2
@@ -608,10 +600,7 @@ def _check_untrail_undos(report, ts, rng):
 
 
 def _check_state_stack_restored(report, ts, rng):
-    ast = gen_program(ts, 5, ("modify", "nondet"))
-    s0 = rng.randint(-3, 3)
-    t0 = _random_trail(rng)
-    u = local2trail(lower(ast, MN))  # trees are immutable: both runs share it
+    ast, s0, t0, u = _trail_case(ts, rng)
     # Marker-push, run, untrail — sequentially threading state and trail.
     (_r1, s1), tr1 = _trail_run(push_stack(MARKER), s0, list(t0))
     (res, s2), tr2 = _trail_run(u, s1, tr1)
@@ -622,11 +611,13 @@ def _check_state_stack_restored(report, ts, rng):
                 % (s0, t0, show_ast(ast)), (res, s3, tr3), (res_ref, s0, t0))
 
 
+# state-restored and modify-restored: a restoring translation run by its
+# handlers ends in the initial state s0.
 _LEMMA_CHECKS = {
-    "state-restored": _restored(*_SN, lambda t, s0: h_nil(
-        h_state(h_ndf(swap(local2global(t))), s0))),
-    "modify-restored": _restored(*_MN, lambda t, s0: h_nil(
-        h_modify(h_ndf(swap(local2global_m(t))), s0))),
+    "state-restored": _agree(*_SN, lambda t, s0: h_nil(h_state(
+        h_ndf(swap(local2global(t))), s0))[1], lambda t, s0: s0, 5),
+    "modify-restored": _agree(*_MN, lambda t, s0: h_nil(h_modify(
+        h_ndf(swap(local2global_m(t))), s0))[1], lambda t, s0: s0, 5),
     "pop-extract": _check_pop_extract,
     "stack-eval": _check_stack_eval,
     "dist-bind": _check_dist_bind,
@@ -640,17 +631,13 @@ LEMMA_IDS = tuple(_LEMMA_CHECKS)
 
 def check_lemma(ident, trials, seed):
     """Check an appendix lemma on random programs / machine states."""
-    return _trial_loop(_LEMMA_CHECKS, "lemma id", ident, trials, seed)
+    return _trials(ident, _row(_LEMMA_CHECKS, "lemma id", ident), trials,
+                   seed)
 
 
 # ---------------------------------------------------------------------------
 # Mutation sensitivity: three seeded bugs, each detectable by a suite.
 # ---------------------------------------------------------------------------
-
-def _local2global_skip_putr(t):
-    """BUG: keeps Put as-is instead of the state-restoring expansion."""
-    return t
-
 
 def _local2trail_untrailed_branch(t):
     """BUG: the right branch of Or does not untrail."""
@@ -671,11 +658,12 @@ def _local2trail_untrailed_branch(t):
 _BROKEN_UNDO = Undo(INT_UNDO.plus, INT_UNDO.plus)  # BUG: minus defined as plus
 
 # Each seeded bug as a theorem row whose right side is broken: T-localglobal
-# with the bug in local2global, and T-trail with the bug in local2trail (the
-# answers of hGlobalT's run from an empty trail) or in the Undo instance.
+# without local2global (Put kept instead of its state-restoring expansion),
+# and T-trail with the bug in local2trail (the answers of hGlobalT's run from
+# an empty trail) or in the Undo instance.
 _MUTANTS = {
-    "skip-putR": _SN + (_runner("local"), lambda t, s0: h_nil(
-        h_global(_local2global_skip_putr(t), s0))),
+    "skip-putR": _SN + (_runner("local"),
+                        lambda t, s0: h_nil(h_global(t, s0))),
     "untrailed-branch": _MN + (_runner("localM"), lambda t, s0: _trail_run(
         _local2trail_untrailed_branch(t), s0, [])[0][0]),
     "minus-as-plus": _MN + (_runner("localM"),
@@ -688,12 +676,8 @@ MUTATIONS = tuple(_MUTANTS)
 def check_mutation(name, trials, seed, depth=6):
     """Run a suite against a deliberately broken implementation; the check
     passes when at least one trial exposes the bug."""
-    if name not in _MUTANTS:
-        raise ValueError("unknown mutation %r" % (name,))
-    report = _report("mutation:" + name, seed, trials)
-    report["detected"] = False
-    for i in _differences(report, _MUTANTS[name], trials, seed, depth):
-        report["detected"] = True
-        report["firstFailingTrial"] = i
-        break
+    row = _row(_MUTANTS, "mutation", name)
+    report = _trials("mutation:" + name, _agree(*row, depth), trials, seed,
+                     first=True)
+    report["detected"] = "firstFailingTrial" in report
     return report

@@ -57,9 +57,6 @@ class ChoiceState:
         self.results = results
         self.stack = stack
 
-    def __repr__(self):
-        return "ChoiceState(%r, <%d pending>)" % (self.results, len(self.stack))
-
 
 def pop_s():
     """Run the next pending branch, or halt with unit on an empty stack."""
@@ -102,10 +99,9 @@ def nondet2state(t):
 
 
 def run_nd(t):
-    """runND = extractS . hState' . nondet2state on a closed [NondetF] tree,
-    which has nothing to forward; equals h_nd."""
-    res = h_nil(h_state(nondet2state(t), ChoiceState([], [])))
-    return res[1].results
+    """runND: run_ndf closed by h_nil, on a [NondetF] tree, which has nothing
+    to forward; equals h_nd."""
+    return h_nil(run_ndf(t))
 
 
 def run_ndf(t):
@@ -121,21 +117,18 @@ def run_ndf(t):
 def states2state(t):
     """Project Get1/Put1 to the first pair component, Get2/Put2 to the second."""
     def alg(idx, op):
-        if idx == 0:
-            if isinstance(op, Get):
+        if idx > 1:
+            return Node(idx - 1, op)
+        if isinstance(op, Get):
+            if idx == 0:
                 return get(lambda s12: op.k(s12[0]))
-            if isinstance(op, Put):
+            return get(lambda s12: op.k(s12[1]))
+        if isinstance(op, Put):
+            if idx == 0:
                 return get(lambda s12: seq(put((op.s, s12[1])), op.k))
-            raise ValueError("states2state: non-state operation %s at "
-                             "index 0" % type(op).__name__)
-        if idx == 1:
-            if isinstance(op, Get):
-                return get(lambda s12: op.k(s12[1]))
-            if isinstance(op, Put):
-                return get(lambda s12: seq(put((s12[0], op.s)), op.k))
-            raise ValueError("states2state: non-state operation %s at "
-                             "index 1" % type(op).__name__)
-        return Node(idx - 1, op)
+            return get(lambda s12: seq(put((s12[0], op.s)), op.k))
+        raise ValueError("states2state: non-state operation %s at index %d"
+                         % (type(op).__name__, idx))
     return fold(Leaf, alg, t)
 
 

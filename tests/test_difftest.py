@@ -227,3 +227,18 @@ def test_golden_reports():
         "skip-putR": 11, "untrailed-branch": 38, "minus-as-plus": 38}
     assert reports["laws:globalstate"]["counterexample"]["trialSeed"] \
         == 42000147
+
+
+def test_restored_lemmas_catch_a_missing_restore(monkeypatch):
+    # With the restoring translations replaced by the identity, a put or
+    # update in a left branch leaks into the final state.
+    from effsim import difftest
+    monkeypatch.setattr(difftest, "local2global", lambda t: t)
+    monkeypatch.setattr(difftest, "local2global_m", lambda t: t)
+    counts = {}
+    for ident in ("state-restored", "modify-restored"):
+        failures = check_lemma(ident, 200, 42)["failures"]
+        assert failures, ident
+        assert all(f["astText"].startswith("s0=") for f in failures), ident
+        counts[ident] = len(failures)
+    assert counts == {"state-restored": 116, "modify-restored": 136}

@@ -70,3 +70,22 @@ def test_tracer_counts_difftest_calls():
         assert suites.get(key, 0) > 0, key
     assert suites["difftest.oracle_eval"] == 2
     assert all(lowered.values()), lowered
+
+
+def test_tracer_counts_restored_and_mutation_rows():
+    # The restored-lemma and mutation rows look their translations and
+    # handlers up when called, so the tracer's wrappers see those calls.
+    from effsim import difftest as D
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        assert tracer.blind_spots == []
+        D.check_lemma("state-restored", 3, 42)
+        D.check_lemma("modify-restored", 3, 42)
+        D.check_mutation("skip-putR", 20, 42)
+        calls = dict(tracer.calls)
+    finally:
+        tracer.uninstall()
+    for key in ("translations.local2global", "translations.local2global_m",
+                "handlers.h_global"):
+        assert calls.get(key, 0) > 0, key
