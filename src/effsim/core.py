@@ -151,7 +151,9 @@ def seq(a, b):
 
 # ---------------------------------------------------------------------------
 # Smart constructors.  The `at` argument is the family's injection index in
-# the signature the program is written against.
+# the signature the program is written against.  `put`, `update` and
+# `restore` take the continuation k directly: op(x, at, k) is the tree that
+# seq(op(x, at=at), k) builds, without a fold.
 # ---------------------------------------------------------------------------
 
 def ret(x):
@@ -162,8 +164,8 @@ def get(k, at=0):
     return Node(at, Get(k))
 
 
-def put(s, at=0):
-    return Node(at, Put(s, Leaf(())))
+def put(s, at=0, k=Leaf(())):
+    return Node(at, Put(s, k))
 
 
 def fail(at=1):
@@ -178,12 +180,12 @@ def mget(k, at=0):
     return Node(at, MGet(k))
 
 
-def update(r, at=0):
-    return Node(at, MUpdate(r, Leaf(())))
+def update(r, at=0, k=Leaf(())):
+    return Node(at, MUpdate(r, k))
 
 
-def restore(r, at=0):
-    return Node(at, MRestore(r, Leaf(())))
+def restore(r, at=0, k=Leaf(())):
+    return Node(at, MRestore(r, k))
 
 
 def choose(xs, at=1):

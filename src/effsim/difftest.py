@@ -644,12 +644,11 @@ def _local2trail_untrailed_branch(t):
     def alg(idx, op):
         if idx == 0:
             if isinstance(op, MUpdate):
-                return seq(push_stack(left(op.r)),
-                           seq(update(op.r, at=0), op.k))
+                return push_stack(left(op.r), update(op.r, 0, op.k))
             return Node(0, op)
         if idx == 1:
             if isinstance(op, Or):
-                return or_(seq(push_stack(MARKER), op.l), op.r, at=1)
+                return or_(push_stack(MARKER, op.l), op.r, at=1)
             return Node(1, op)
         return Node(idx + 1, op)
     return fold(Leaf, alg, t)

@@ -196,8 +196,11 @@ def h_global_t(t, s, undo=INT_UNDO):
 
     hGlobalT = fmap (fmap fst . flip runStateT (Stack []) . hState)
              . hGlobalM . local2trail
+
+    Run with hGlobalM inlined as hModify . hND+f . swap, so that the two
+    fmap fst run once, as one projection of the closed result.
     """
     from .translations import local2trail
-    u = h_global_m(local2trail(t), s, undo)   # residual [StateF(Stack)|rest]
-    w = h_state(u, [])                        # initial trail stack empty
-    return tree_map(w, lambda pair: pair[0])
+    u = h_modify(h_ndf(swap(local2trail(t))), s, undo)  # [StateF(Stack)|rest]
+    w = h_state(u, [])                                  # trail starts empty
+    return tree_map(w, lambda pair: pair[0][0])

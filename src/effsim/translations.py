@@ -15,8 +15,7 @@ simulation of local state) and `simulate_t` (choicepoint + trail stacks).
 
 from .core import (
     Leaf, Node, Get, Put, Fail, Or, MUpdate,
-    bind, tree_map, seq, get, put, or_, update, restore, side,
-    fold, swap, rotate,
+    tree_map, get, put, fail, or_, update, restore, fold,
 )
 from .handlers import h_state, h_modify, h_nil, INT_UNDO
 
@@ -25,16 +24,16 @@ from .handlers import h_state, h_modify, h_nil, INT_UNDO
 # local2global: state-restoring put.
 # ---------------------------------------------------------------------------
 
-def put_r(s):
-    """putR s = get >>= \\s' -> put s | side (put s')."""
-    return get(lambda s0: or_(put(s), side(put(s0))))
+def put_r(s, k=Leaf(())):
+    """putR s >> k, where putR s = get >>= \\s' -> put s | side (put s')."""
+    return get(lambda s0: or_(put(s, k=k), put(s0, k=fail())))
 
 
 def local2global(t):
     """Replace every Put by its state-restoring expansion; keep the rest."""
     def alg(idx, op):
         if idx == 0 and isinstance(op, Put):
-            return seq(put_r(op.s), op.k)
+            return put_r(op.s, op.k)
         return Node(idx, op)
     return fold(Leaf, alg, t)
 
@@ -58,44 +57,46 @@ class ChoiceState:
         self.stack = stack
 
 
-def pop_s():
+# pop_s, push_s and append_s act on the choicepoint state family at index at.
+
+def pop_s(at=0):
     """Run the next pending branch, or halt with unit on an empty stack."""
     def k(cs):
         if not cs.stack:
             return Leaf(())
-        q = cs.stack[0]
-        return seq(put(ChoiceState(cs.results, cs.stack[1:])), q)
-    return get(k)
+        return put(ChoiceState(cs.results, cs.stack[1:]), at, cs.stack[0])
+    return get(k, at)
 
 
-def push_s(q, p):
+def push_s(q, p, at=0):
     """Save branch q as a choicepoint, then continue with p."""
-    return get(lambda cs:
-               seq(put(ChoiceState(cs.results, [q] + cs.stack)), p))
+    return get(lambda cs: put(ChoiceState(cs.results, [q] + cs.stack), at, p),
+               at)
 
 
-def append_s(x, p):
+def append_s(x, p, at=0):
     """Record result x at the back, then continue with p."""
-    return get(lambda cs:
-               seq(put(ChoiceState(cs.results + [x], cs.stack)), p))
+    return get(lambda cs: put(ChoiceState(cs.results + [x], cs.stack), at, p),
+               at)
 
 
-def nondet2state(t):
-    """Forwarding simulation: [NondetF|rest] into [StateF(ChoiceState)|rest].
+def nondet2state(t, at=0):
+    """Forwarding simulation: the nondet family at index at becomes the
+    machine-state family StateF(ChoiceState) at the same index.
 
-    Residual operations keep their injection index: the nondet family at 0
-    is replaced by the machine-state family at 0.
+    Every other operation keeps its injection index, so nondet2state at
+    index 1 equals swap . nondet2state . swap.
     """
     def alg(idx, op):
-        if idx == 0:
+        if idx == at:
             if isinstance(op, Fail):
-                return pop_s()
+                return pop_s(at)
             if isinstance(op, Or):
-                return push_s(op.r, op.l)
+                return push_s(op.r, op.l, at)
             raise ValueError("nondet2state: non-nondet operation %s at "
-                             "index 0" % type(op).__name__)
+                             "index %d" % (type(op).__name__, at))
         return Node(idx, op)
-    return fold(lambda x: append_s(x, pop_s()), alg, t)
+    return fold(lambda x: append_s(x, pop_s(at), at), alg, t)
 
 
 def run_nd(t):
@@ -114,19 +115,24 @@ def run_ndf(t):
 # states2state: merging two state families into one pair-valued family.
 # ---------------------------------------------------------------------------
 
-def states2state(t):
-    """Project Get1/Put1 to the first pair component, Get2/Put2 to the second."""
+def states2state(t, at=0):
+    """Merge the state families at indices at and at + 1 into one pair-valued
+    family at at: Get1/Put1 act on the first pair component, Get2/Put2 on
+    the second.  Indices below at stay; indices above at + 1 drop by one.
+    """
     def alg(idx, op):
-        if idx > 1:
+        if idx > at + 1:
             return Node(idx - 1, op)
+        if idx < at:
+            return Node(idx, op)
         if isinstance(op, Get):
-            if idx == 0:
-                return get(lambda s12: op.k(s12[0]))
-            return get(lambda s12: op.k(s12[1]))
+            if idx == at:
+                return get(lambda s12: op.k(s12[0]), at)
+            return get(lambda s12: op.k(s12[1]), at)
         if isinstance(op, Put):
-            if idx == 0:
-                return get(lambda s12: seq(put((op.s, s12[1])), op.k))
-            return get(lambda s12: seq(put((s12[0], op.s)), op.k))
+            if idx == at:
+                return get(lambda s12: put((op.s, s12[1]), at, op.k), at)
+            return get(lambda s12: put((s12[0], op.s), at, op.k), at)
         raise ValueError("states2state: non-state operation %s at index %d"
                          % (type(op).__name__, idx))
     return fold(Leaf, alg, t)
@@ -145,10 +151,16 @@ def alpha(v):
 def simulate(t, s):
     """simulate = extract . hState . states2state . nondet2state . swap
                 . local2global; equals h_local.
+
+    Run fused as states2state . nondet2state_1 . local2global, where
+    nondet2state_1 (nondet2state at index 1) is swap . nondet2state . swap:
+    nondet2state keeps every other index, so the swap pair around it only
+    moves its family to index 1 and back.  The pair state is then
+    (user state, choicepoints) instead of (choicepoints, user state).
     """
-    m = states2state(nondet2state(swap(local2global(t))))
-    u = h_state(m, (ChoiceState([], []), s))
-    return tree_map(u, lambda pair: pair[1][0].results)
+    m = states2state(nondet2state(local2global(t), at=1))
+    u = h_state(m, (s, ChoiceState([], [])))
+    return tree_map(u, lambda pair: pair[1][1].results)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +171,7 @@ def local2global_m(t):
     """Replace update r by (update r | side (restore r)); keep the rest."""
     def alg(idx, op):
         if idx == 0 and isinstance(op, MUpdate):
-            return seq(or_(update(op.r), side(restore(op.r))), op.k)
+            return or_(update(op.r, k=op.k), restore(op.r, k=fail()))
         return Node(idx, op)
     return fold(Leaf, alg, t)
 
@@ -179,26 +191,22 @@ def left(r):
 _TRAIL = 2  # injection index of the trail-stack state family in the output
 
 
-def push_stack(x):
-    return get(lambda st: put([x] + st, at=_TRAIL), at=_TRAIL)
+def push_stack(x, k=Leaf(())):
+    """Push x on the trail, then continue with k."""
+    return get(lambda st: put([x] + st, _TRAIL, k), _TRAIL)
 
 
-def pop_stack():
-    def k(st):
-        if not st:
-            return Leaf(None)
-        return seq(put(st[1:], at=_TRAIL), Leaf(st[0]))
-    return get(k, at=_TRAIL)
-
-
-def untrail():
+def untrail(k=Leaf(())):
     """Pop trail entries down to (and including) the first marker, restoring
-    each recorded delta on the way; halt cleanly if the trail drains."""
-    def k(top):
-        if top is None or top == MARKER:
-            return Leaf(())
-        return seq(restore(top[1], at=0), untrail())
-    return bind(pop_stack(), k)
+    each recorded delta on the way, then continue with k; continue at once
+    if the trail drains."""
+    def pop(st):
+        if not st:
+            return k
+        if st[0] == MARKER:
+            return put(st[1:], _TRAIL, k)
+        return put(st[1:], _TRAIL, restore(st[0][1], 0, untrail(k)))
+    return get(pop, _TRAIL)
 
 
 def local2trail(t):
@@ -210,13 +218,11 @@ def local2trail(t):
     def alg(idx, op):
         if idx == 0:
             if isinstance(op, MUpdate):
-                return seq(push_stack(left(op.r)),
-                           seq(update(op.r, at=0), op.k))
+                return push_stack(left(op.r), update(op.r, 0, op.k))
             return Node(0, op)
         if idx == 1:
             if isinstance(op, Or):
-                return or_(seq(push_stack(MARKER), op.l),
-                           seq(untrail(), op.r), at=1)
+                return or_(push_stack(MARKER, op.l), untrail(op.r), at=1)
             return Node(1, op)
         return Node(idx + 1, op)
     return fold(Leaf, alg, t)
@@ -230,14 +236,16 @@ def simulate_t(t, s, undo=INT_UNDO):
     """simulateT = extractT . hState . fmap fst . flip runStateT s . hModify
                  . swap . states2state . rotate . swap . nondet2state . swap
                  . local2trail; equals h_local_m.
+
+    Run fused in three folds as states2state_1 . nondet2state_1 .
+    local2trail, the _1 forms acting at index 1.  swap . nondet2state . swap
+    is nondet2state_1, because nondet2state keeps every other index; and
+    swap . states2state . rotate, which brings SS and Trail to the front,
+    merges them and moves M back, is states2state_1 on [M, SS, Trail | rest].
+    The fmap fst is dropped: extractT reads the choicepoints all the same.
     """
-    u = local2trail(t)            # [M, N, Trail | rest]
-    u = swap(u)                   # [N, M, Trail | rest]
-    u = nondet2state(u)           # [SS, M, Trail | rest]
-    u = swap(u)                   # [M, SS, Trail | rest]
-    u = rotate(u)                 # [SS, Trail, M | rest]
-    u = states2state(u)           # [(SS, Trail), M | rest]
-    u = swap(u)                   # [M, (SS, Trail) | rest]
-    w = tree_map(h_modify(u, s, undo), lambda pair: pair[0])
-    v = h_state(w, (ChoiceState([], []), []))
+    u = local2trail(t)                   # [M, N, Trail | rest]
+    u = nondet2state(u, at=1)            # [M, SS, Trail | rest]
+    u = states2state(u, at=1)            # [M, (SS, Trail) | rest]
+    v = h_state(h_modify(u, s, undo), (ChoiceState([], []), []))
     return tree_map(v, lambda pair: pair[1][0].results)

@@ -90,6 +90,16 @@ def test_h_global_t_wide_choose():
     assert out == list(range(4000))
 
 
+def test_h_global_t_scales():
+    t = mget(ret)
+    for _ in range(10_000):
+        t = seq(update(1, at=0), t)
+    out = h_nil(h_global_t(t, 0))
+    assert out == [10_000]
+    out = h_nil(h_global_t(choose(range(10_000)), 0))
+    assert out == list(range(10_000))
+
+
 def test_h_state_forwards_residual_with_current_state():
     # put 3; (ret () | put 9); get — each branch sees the state at the fork.
     t = seq(put(3), seq(or_(ret(()), put(9)), get(ret)))

@@ -11,8 +11,8 @@ from effsim.handlers import (
 from effsim.translations import (
     put_r, local2global, ChoiceState, pop_s, push_s, append_s,
     run_nd, nondet2state, run_ndf, states2state, alpha, simulate,
-    local2global_m, local2trail, MARKER, left, push_stack, pop_stack,
-    untrail, simulate_t,
+    local2global_m, local2trail, MARKER, left, push_stack, untrail,
+    simulate_t,
 )
 
 
@@ -126,10 +126,11 @@ def test_stack_primitives():
         # bare h_state can interpret it.
         return fold(Leaf, lambda i, op: Node(0 if i == 2 else i, op), t)
 
-    t = seq(push_stack("x"), seq(push_stack("y"), pop_stack()))
+    t = seq(push_stack("x"), push_stack("y", get(ret, at=2)))
     res = h_nil(h_state(front(t), []))
-    assert res == ("y", ["x"])
-    assert h_nil(h_state(front(pop_stack()), [])) == (None, [])
+    assert res == (["y", "x"], ["y", "x"])
+    # untrail on an empty trail continues at once, leaving it empty.
+    assert h_nil(h_state(front(untrail(ret("k"))), [])) == ("k", [])
 
 
 def test_untrail_restores_through_marker():
@@ -174,3 +175,26 @@ def test_simulate_t_equals_h_local_m():
         t = _random_modify_program(rng, 5)
         s0 = rng.randint(0, 9)
         assert h_nil(simulate_t(t, s0)) == h_nil(h_local_m(t, s0))
+
+
+# Size-scaling checks: results only, never time.  Each result is bound to a
+# name first, so that a failing assert does not print a 10 000-deep tree.
+
+def test_simulate_scales():
+    t = get(ret)
+    for i in range(10_000):
+        t = seq(put(i), t)
+    out = h_nil(simulate(t, -1))
+    assert out == [0]
+    out = h_nil(simulate(choose(range(10_000)), 0))
+    assert out == list(range(10_000))
+
+
+def test_simulate_t_scales():
+    t = mget(ret)
+    for _ in range(10_000):
+        t = seq(update(1, at=0), t)
+    out = h_nil(simulate_t(t, 0))
+    assert out == [10_000]
+    out = h_nil(simulate_t(choose(range(10_000)), 0))
+    assert out == list(range(10_000))
