@@ -19,11 +19,11 @@ import random
 
 from .core import (
     Leaf, Node, Or, MUpdate, bind, seq, get, put, fail, or_, mget, update,
-    restore, fold, swap,
+    restore, fold,
 )
 from .handlers import (
     Undo, INT_UNDO, h_nd, h_state, h_modify, h_ndf, h_nil, h_local, h_global,
-    h_states,
+    h_states, to_cells, from_cells,
 )
 from .translations import (
     local2global, nondet2state, run_nd, run_ndf, states2state, alpha,
@@ -478,13 +478,16 @@ def check_laws(suite, trials, seed):
 # ---------------------------------------------------------------------------
 
 def _trail_run(t, s, trail, undo=INT_UNDO):
-    """hState1 ((hModify1 . hND+f . swap) t s) trail, keeping all pairs.
+    """hState1 ((hModify1 . hND+f . swap) t s) trail, keeping all pairs,
+    with hND+f . swap run as h_ndf at index 1.
 
     t is over [ModifyF, NondetF, StateF(Trail) | ...]; result is
-    ((answers, s_final), trail_final).
+    ((answers, s_final), trail_final).  Both trails are lists, the top
+    first.
     """
-    w = h_modify(h_ndf(swap(t)), s, undo)
-    return h_nil(h_state(w, trail))
+    w = h_modify(h_ndf(t, 1), s, undo)
+    res, tr = h_nil(h_state(w, to_cells(trail[::-1])))
+    return res, from_cells(tr)[::-1]
 
 
 def _machine_state(rng, ts):
@@ -496,20 +499,21 @@ def _machine_state(rng, ts):
     return xs, st
 
 
-def _drain(p, cs):
-    """Run machine tree p to completion from choicepoint state cs; the final
-    state has an empty stack, so its results fully describe the run."""
-    res = h_nil(h_state(p, cs))
-    return res[1].results
+def _drain(p, xs, st):
+    """Run machine tree p to completion from the choicepoint state with
+    results xs and stack st (lists, the top of st first); the final state
+    has an empty stack, so its results fully describe the run."""
+    res = h_nil(h_state(p, ChoiceState(to_cells(xs), to_cells(st[::-1]))))
+    return from_cells(res[1].results)
 
 
 def _check_pop_extract(report, ts, rng):
     src = gen_program(ts, 4, ("nondet",))
     p = nondet2state(lower(src, {"nondet": 0}))
-    extracted = _drain(p, ChoiceState([], []))  # trees are immutable
+    extracted = _drain(p, [], [])  # trees are immutable
     xs, st = _machine_state(rng, ts)
-    lhs = _drain(p, ChoiceState(xs, st))
-    rhs = _drain(pop_s(), ChoiceState(xs + extracted, list(st)))
+    lhs = _drain(p, xs, st)
+    rhs = _drain(pop_s(), xs + extracted, st)
     if lhs != rhs:
         _record(report, ts, "pop-extract; %s" % show_ast(src), lhs, rhs)
 
@@ -521,18 +525,12 @@ def _check_stack_eval(report, ts, rng):
     q = nondet2state(lower(gen_program(ts + 1, 3, ("nondet",)),
                            {"nondet": 0}))
     checks = [
-        ("evaluation-append",
-         _drain(append_s(x, p), ChoiceState(list(xs), list(st))),
-         _drain(p, ChoiceState(xs + [x], list(st)))),
-        ("evaluation-pop1",
-         h_nil(h_state(pop_s(), ChoiceState(list(xs), [])))[1].results,
-         list(xs)),
-        ("evaluation-pop2",
-         _drain(pop_s(), ChoiceState(list(xs), [q] + list(st))),
-         _drain(q, ChoiceState(list(xs), list(st)))),
-        ("evaluation-push",
-         _drain(push_s(q, p), ChoiceState(list(xs), list(st))),
-         _drain(p, ChoiceState(list(xs), [q] + list(st)))),
+        ("evaluation-append", _drain(append_s(x, p), xs, st),
+         _drain(p, xs + [x], st)),
+        ("evaluation-pop1", _drain(pop_s(), xs, []), xs),
+        ("evaluation-pop2", _drain(pop_s(), xs, [q] + st), _drain(q, xs, st)),
+        ("evaluation-push", _drain(push_s(q, p), xs, st),
+         _drain(p, xs, [q] + st)),
     ]
     for name, lhs, rhs in checks:
         if lhs != rhs:
@@ -577,7 +575,7 @@ def _trail_case(ts, rng):
 def _check_trail_tracks(report, ts, rng):
     ast, s0, t2, u = _trail_case(ts, rng)
     (res1, sf1), tf1 = _trail_run(u, s0, [])
-    (res2, sf2), tf2 = _trail_run(u, s0, list(t2))
+    (res2, sf2), tf2 = _trail_run(u, s0, t2)
     ok = (res1 == res2 and sf1 == sf2 and tf1 + t2 == tf2
           and all(e[0] == "left" for e in tf1)
           and sf1 == s0 + sum(e[1] for e in tf1))
@@ -602,7 +600,7 @@ def _check_untrail_undos(report, ts, rng):
 def _check_state_stack_restored(report, ts, rng):
     ast, s0, t0, u = _trail_case(ts, rng)
     # Marker-push, run, untrail — sequentially threading state and trail.
-    (_r1, s1), tr1 = _trail_run(push_stack(MARKER), s0, list(t0))
+    (_r1, s1), tr1 = _trail_run(push_stack(MARKER), s0, t0)
     (res, s2), tr2 = _trail_run(u, s1, tr1)
     (_r3, s3), tr3 = _trail_run(untrail(), s2, tr2)
     (res_ref, _sref), _tref = _trail_run(u, s0, [])
@@ -615,9 +613,9 @@ def _check_state_stack_restored(report, ts, rng):
 # handlers ends in the initial state s0.
 _LEMMA_CHECKS = {
     "state-restored": _agree(*_SN, lambda t, s0: h_nil(h_state(
-        h_ndf(swap(local2global(t))), s0))[1], lambda t, s0: s0, 5),
+        h_ndf(local2global(t), 1), s0))[1], lambda t, s0: s0, 5),
     "modify-restored": _agree(*_MN, lambda t, s0: h_nil(h_modify(
-        h_ndf(swap(local2global_m(t))), s0))[1], lambda t, s0: s0, 5),
+        h_ndf(local2global_m(t), 1), s0))[1], lambda t, s0: s0, 5),
     "pop-extract": _check_pop_extract,
     "stack-eval": _check_stack_eval,
     "dist-bind": _check_dist_bind,

@@ -8,11 +8,17 @@ which the paper proves equal to the liftM2 (++) definition of hND+f.  All
 are iterative loops, so arbitrarily long operation chains and wide choices
 do not consume Python stack; only the forwarding of a residual operation
 recurses.
+
+h_ndf takes the injection index of the family it handles, so the global
+handlers run hND+f . swap as one pass, h_ndf at index 1.  Its persistent
+cons cells ((head, tail), None for empty) are also the representation of the
+choicepoint stacks, result lists and trails of the translations; to_cells
+and from_cells convert them from and to lists.
 """
 
 from .core import (
     Leaf, Node, Get, Put, Fail, Or, MGet, MUpdate, MRestore,
-    tree_map, swap,
+    tree_map,
 )
 
 
@@ -101,8 +107,27 @@ def h_modify(t, s, undo=INT_UNDO):
                             lambda c, cur=cur: h_modify(c, cur, undo)))
 
 
-def h_ndf(t):
-    """hND+f as the runND+f machine: handle the leading NondetF family,
+def to_cells(items):
+    """Persistent cons cells holding items, the last one at the head."""
+    xs = None
+    for x in items:
+        xs = (x, xs)
+    return xs
+
+
+def from_cells(xs):
+    """The items of cons cells xs as a list, the head last: the inverse of
+    to_cells, and the one O(n) reversal of a result stack."""
+    out = []
+    while xs is not None:
+        x, xs = xs
+        out.append(x)
+    out.reverse()
+    return out
+
+
+def h_ndf(t, at=0):
+    """hND+f as the runND+f machine: handle the NondetF family at index at,
     forwarding the rest.
 
     The machine keeps the results so far and the pending right branches as
@@ -110,7 +135,9 @@ def h_ndf(t):
     value onto the results, Or pushes its right branch and runs the left,
     and Fail or a finished leaf pops the next branch.  A residual operation
     is forwarded with the current cells captured; cells are never mutated,
-    so its continuations can be resumed any number of times.
+    so its continuations can be resumed any number of times.  Indices below
+    at stay and indices above at drop by one, so h_ndf at index 1 is
+    hND+f . swap.
 
     Returns a residual tree whose leaves are DFS-ordered result lists.
     """
@@ -118,7 +145,7 @@ def h_ndf(t):
         while True:
             if isinstance(t, Leaf):
                 xs = (t.value, xs)
-            elif t.idx == 0:
+            elif t.idx == at:
                 op = t.op
                 if isinstance(op, Or):
                     stack = (op.r, stack)
@@ -126,19 +153,15 @@ def h_ndf(t):
                     continue
                 if not isinstance(op, Fail):
                     raise ValueError("h_ndf: non-nondet operation %s at "
-                                     "index 0" % type(op).__name__)
+                                     "index %d" % (type(op).__name__, at))
             else:
-                return Node(t.idx - 1,
+                idx = t.idx
+                return Node(idx if idx < at else idx - 1,
                             t.op.map_children(
                                 lambda c, xs=xs, stack=stack:
                                 run(c, xs, stack)))
             if stack is None:
-                out = []
-                while xs is not None:
-                    x, xs = xs
-                    out.append(x)
-                out.reverse()
-                return Leaf(out)
+                return Leaf(from_cells(xs))
             t, stack = stack
     return run(t, None, None)
 
@@ -169,8 +192,10 @@ def h_global(t, s):
     """Global-state semantics: nondeterminism handled before state.
 
     hGlobal = fmap (fmap fst) . flip runStateT s . hState . hND+f . swap
+
+    Run fused with hND+f . swap as h_ndf at index 1.
     """
-    w = h_state(h_ndf(swap(t)), s)
+    w = h_state(h_ndf(t, 1), s)
     return tree_map(w, lambda pair: pair[0])
 
 
@@ -181,8 +206,12 @@ def h_local_m(t, s, undo=INT_UNDO):
 
 
 def h_global_m(t, s, undo=INT_UNDO):
-    """hGlobalM: global-state semantics via the modify handler."""
-    w = h_modify(h_ndf(swap(t)), s, undo)
+    """hGlobalM: global-state semantics via the modify handler.
+
+    hGlobalM = fmap (fmap fst) . flip runStateT s . hModify . hND+f . swap,
+    run with hND+f . swap as h_ndf at index 1.
+    """
+    w = h_modify(h_ndf(t, 1), s, undo)
     return tree_map(w, lambda pair: pair[0])
 
 
@@ -197,10 +226,11 @@ def h_global_t(t, s, undo=INT_UNDO):
     hGlobalT = fmap (fmap fst . flip runStateT (Stack []) . hState)
              . hGlobalM . local2trail
 
-    Run with hGlobalM inlined as hModify . hND+f . swap, so that the two
-    fmap fst run once, as one projection of the closed result.
+    Run with hGlobalM inlined as hModify . hND+f . swap, and hND+f . swap
+    as h_ndf at index 1, so that the two fmap fst run once, as one
+    projection of the closed result.
     """
     from .translations import local2trail
-    u = h_modify(h_ndf(swap(local2trail(t))), s, undo)  # [StateF(Stack)|rest]
-    w = h_state(u, [])                                  # trail starts empty
+    u = h_modify(h_ndf(local2trail(t), 1), s, undo)  # [StateF(Stack)|rest]
+    w = h_state(u, None)                             # trail starts empty
     return tree_map(w, lambda pair: pair[0][0])

@@ -11,13 +11,17 @@ Five translations:
 plus the closed and forwarding runs `run_nd` and `run_ndf` of
 `nondet2state`, and the composed pipelines `simulate` (choicepoint-stack
 simulation of local state) and `simulate_t` (choicepoint + trail stacks).
+
+The choicepoint stack, the results and the trail are h_ndf's persistent
+cons cells ((head, tail), None for empty), so every push and pop is O(1) and
+never copies: a forwarded continuation may resume the same state again.
 """
 
 from .core import (
     Leaf, Node, Get, Put, Fail, Or, MUpdate,
     tree_map, get, put, fail, or_, update, restore, fold,
 )
-from .handlers import h_state, h_modify, h_nil, INT_UNDO
+from .handlers import h_state, h_modify, h_nil, from_cells, INT_UNDO
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +49,10 @@ def local2global(t):
 class ChoiceState:
     """Results found so far plus a stack of pending branch computations.
 
-    The stack holds machine trees (front = top); results grow at the back.
-    Used both for the closed machine (paper's S) and the forwarding machine
-    (paper's SS).
+    Both are persistent cons cells: the stack holds machine trees, the top at
+    the head, and the results hold the newest at the head, so that they are
+    reversed once, by from_cells, when extracted.  Used both for the closed
+    machine (paper's S) and the forwarding machine (paper's SS).
     """
 
     __slots__ = ("results", "stack")
@@ -62,21 +67,22 @@ class ChoiceState:
 def pop_s(at=0):
     """Run the next pending branch, or halt with unit on an empty stack."""
     def k(cs):
-        if not cs.stack:
+        if cs.stack is None:
             return Leaf(())
-        return put(ChoiceState(cs.results, cs.stack[1:]), at, cs.stack[0])
+        q, stack = cs.stack
+        return put(ChoiceState(cs.results, stack), at, q)
     return get(k, at)
 
 
 def push_s(q, p, at=0):
     """Save branch q as a choicepoint, then continue with p."""
-    return get(lambda cs: put(ChoiceState(cs.results, [q] + cs.stack), at, p),
+    return get(lambda cs: put(ChoiceState(cs.results, (q, cs.stack)), at, p),
                at)
 
 
 def append_s(x, p, at=0):
-    """Record result x at the back, then continue with p."""
-    return get(lambda cs: put(ChoiceState(cs.results + [x], cs.stack), at, p),
+    """Record result x as the newest, then continue with p."""
+    return get(lambda cs: put(ChoiceState((x, cs.results), cs.stack), at, p),
                at)
 
 
@@ -107,8 +113,8 @@ def run_nd(t):
 
 def run_ndf(t):
     """runND+f = extractSS . hState . nondet2state; equals h_ndf."""
-    u = h_state(nondet2state(t), ChoiceState([], []))
-    return tree_map(u, lambda pair: pair[1].results)
+    u = h_state(nondet2state(t), ChoiceState(None, None))
+    return tree_map(u, lambda pair: from_cells(pair[1].results))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +165,8 @@ def simulate(t, s):
     (user state, choicepoints) instead of (choicepoints, user state).
     """
     m = states2state(nondet2state(local2global(t), at=1))
-    u = h_state(m, (s, ChoiceState([], [])))
-    return tree_map(u, lambda pair: pair[1][1].results)
+    u = h_state(m, (s, ChoiceState(None, None)))
+    return tree_map(u, lambda pair: from_cells(pair[1][1].results))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +199,7 @@ _TRAIL = 2  # injection index of the trail-stack state family in the output
 
 def push_stack(x, k=Leaf(())):
     """Push x on the trail, then continue with k."""
-    return get(lambda st: put([x] + st, _TRAIL, k), _TRAIL)
+    return get(lambda st: put((x, st), _TRAIL, k), _TRAIL)
 
 
 def untrail(k=Leaf(())):
@@ -201,11 +207,12 @@ def untrail(k=Leaf(())):
     each recorded delta on the way, then continue with k; continue at once
     if the trail drains."""
     def pop(st):
-        if not st:
+        if st is None:
             return k
-        if st[0] == MARKER:
-            return put(st[1:], _TRAIL, k)
-        return put(st[1:], _TRAIL, restore(st[0][1], 0, untrail(k)))
+        x, st = st
+        if x == MARKER:
+            return put(st, _TRAIL, k)
+        return put(st, _TRAIL, restore(x[1], 0, untrail(k)))
     return get(pop, _TRAIL)
 
 
@@ -247,5 +254,5 @@ def simulate_t(t, s, undo=INT_UNDO):
     u = local2trail(t)                   # [M, N, Trail | rest]
     u = nondet2state(u, at=1)            # [M, SS, Trail | rest]
     u = states2state(u, at=1)            # [M, (SS, Trail) | rest]
-    v = h_state(h_modify(u, s, undo), (ChoiceState([], []), []))
-    return tree_map(v, lambda pair: pair[1][0].results)
+    v = h_state(h_modify(u, s, undo), (ChoiceState(None, None), None))
+    return tree_map(v, lambda pair: from_cells(pair[1][0].results))

@@ -16,7 +16,9 @@ from effsim.core import (
     tree_map, swap, rotate, show_tree,
 )
 from effsim.difftest import gen_program, lower
-from effsim.handlers import h_state, h_modify, h_ndf, h_nil
+from effsim.handlers import (
+    h_state, h_modify, h_ndf, h_nil, to_cells, from_cells,
+)
 from effsim.translations import (
     ChoiceState, MARKER, left, put_r, local2global, local2global_m,
     nondet2state, states2state, local2trail, push_stack, untrail,
@@ -57,8 +59,8 @@ def simulate_paper_tree(t):
 def simulate_paper(t, s):
     """simulate = extract . hState . states2state . nondet2state . swap
                 . local2global."""
-    u = h_state(simulate_paper_tree(t), (ChoiceState([], []), s))
-    return tree_map(u, lambda pair: pair[1][0].results)
+    u = h_state(simulate_paper_tree(t), (ChoiceState(None, None), s))
+    return tree_map(u, lambda pair: from_cells(pair[1][0].results))
 
 
 def simulate_t_paper_tree(t):
@@ -77,8 +79,8 @@ def simulate_t_paper(t, s):
     """simulateT = extractT . hState . fmap fst . flip runStateT s . hModify
                  . simulate_t_paper_tree."""
     w = tree_map(h_modify(simulate_t_paper_tree(t), s), lambda pair: pair[0])
-    v = h_state(w, (ChoiceState([], []), []))
-    return tree_map(v, lambda pair: pair[1][0].results)
+    v = h_state(w, (ChoiceState(None, None), None))
+    return tree_map(v, lambda pair: from_cells(pair[1][0].results))
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +92,11 @@ def test_simulate_equals_paper_composition(layout):
     third = len(layout[0]) == 3
     for t, s0 in _programs(*layout, seed=1):
         fused = states2state(nondet2state(local2global(t), at=1))
-        (a, (s, cs)), s3 = _close(h_state(fused, (s0, ChoiceState([], []))),
-                                  third)
+        (a, (s, cs)), s3 = _close(
+            h_state(fused, (s0, ChoiceState(None, None))), third)
         (pa, (pcs, ps)), ps3 = _close(
-            h_state(simulate_paper_tree(t), (ChoiceState([], []), s0)), third)
+            h_state(simulate_paper_tree(t), (ChoiceState(None, None), s0)),
+            third)
         assert (a, s, cs.results, cs.stack, s3) \
             == (pa, ps, pcs.results, pcs.stack, ps3)
         assert _close(simulate(t, s0), third) \
@@ -105,7 +108,7 @@ def test_simulate_t_equals_paper_composition(layout):
     third = len(layout[0]) == 3
     for t, s0 in _programs(*layout, seed=2):
         fused = states2state(nondet2state(local2trail(t), at=1), at=1)
-        init = (ChoiceState([], []), [])
+        init = (ChoiceState(None, None), None)
         ((a, s), (cs, trail)), s3 = _close(
             h_state(h_modify(fused, s0), init), third)
         ((pa, ps), (pcs, ptrail)), ps3 = _close(
@@ -114,6 +117,18 @@ def test_simulate_t_equals_paper_composition(layout):
             == (pa, ps, pcs.results, pcs.stack, ptrail, ps3)
         assert _close(simulate_t(t, s0), third) \
             == _close(simulate_t_paper(t, s0), third)
+
+
+@pytest.mark.parametrize("layout, handler",
+                         [(SN, h_state), (SN3, h_state),
+                          (MN, h_modify), (MN3, h_modify)],
+                         ids=["SN", "SN3", "MN", "MN3"])
+def test_h_ndf_at_1_equals_swap_form(layout, handler):
+    # h_ndf at index 1 is hND+f . swap in one pass.
+    third = len(layout[0]) == 3
+    for t, s0 in _programs(*layout, seed=7):
+        assert _close(handler(h_ndf(t, 1), s0), third) \
+            == _close(handler(h_ndf(swap(t)), s0), third)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +149,11 @@ def _random_trail(rng):
 
 
 def _trail_run(t, s, trail):
-    """Run t over [ModifyF, NondetF, StateF(Trail)]: (results, s, trail)."""
-    (xs, s), trail = h_nil(h_state(h_modify(h_ndf(swap(t)), s), trail))
-    return xs, s, trail
+    """Run t over [ModifyF, NondetF, StateF(Trail)]: (results, s, trail),
+    the trails as lists, the top last."""
+    (xs, s), trail = h_nil(h_state(h_modify(h_ndf(swap(t)), s),
+                                   to_cells(trail)))
+    return xs, s, from_cells(trail)
 
 
 def test_trail_constructors_equal_seq():
@@ -144,10 +161,10 @@ def test_trail_constructors_equal_seq():
     for k, s0 in _programs(*MN, seed=4, n=100, depth=3):
         trail = _random_trail(rng)
         x = rng.choice([MARKER, left(rng.randint(-3, 3))])
-        assert _trail_run(push_stack(x, k), s0, list(trail)) \
-            == _trail_run(seq(push_stack(x), k), s0, list(trail))
-        assert _trail_run(untrail(k), s0, list(trail)) \
-            == _trail_run(seq(untrail(), k), s0, list(trail))
+        assert _trail_run(push_stack(x, k), s0, trail) \
+            == _trail_run(seq(push_stack(x), k), s0, trail)
+        assert _trail_run(untrail(k), s0, trail) \
+            == _trail_run(seq(untrail(), k), s0, trail)
 
 
 def test_put_r_equals_seq_side_form():

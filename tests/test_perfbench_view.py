@@ -72,6 +72,26 @@ def test_tracer_counts_difftest_calls():
     assert all(lowered.values()), lowered
 
 
+def test_tracer_counts_stack_calls():
+    # The cons-cell stacks are pushed and popped only inside the
+    # translations' own functions, so each keeps its own count.
+    from effsim import handlers as H, translations as T
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        assert tracer.blind_spots == []
+        t = core.choose([1, 2, 3])
+        assert H.h_nil(T.simulate(t, 0)) == [1, 2, 3]
+        assert H.h_nil(T.simulate_t(t, 0)) == [1, 2, 3]
+        chain = core.update(1, 0, core.update(2, 0, core.mget(core.ret)))
+        assert H.h_nil(H.h_global_t(chain, 0)) == [3]
+        calls = dict(tracer.calls)
+    finally:
+        tracer.uninstall()
+    for f in ("push_s", "append_s", "pop_s", "push_stack", "untrail"):
+        assert calls.get("translations." + f, 0) > 0, f
+
+
 def test_tracer_counts_restored_and_mutation_rows():
     # The restored-lemma and mutation rows look their translations and
     # handlers up when called, so the tracer's wrappers see those calls.

@@ -43,6 +43,8 @@ from effsim.translations import (
      "states2state: non-state operation MGet at index 1"),
     (lambda: states2state(update(1, at=2), at=1),
      "states2state: non-state operation MUpdate at index 2"),
+    (lambda: h_ndf(put(1, at=1), 1),
+     "h_ndf: non-nondet operation Put at index 1"),
     (lambda: h_nil(put(1, at=0)),
      "h_nil applied to an operation node (idx=0, op=Put): residual "
      "signature was expected to be empty"),

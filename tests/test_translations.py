@@ -7,6 +7,7 @@ from effsim.core import (
 )
 from effsim.handlers import (
     INT_UNDO, h_nd, h_state, h_ndf, h_nil, h_local, h_global, h_local_m,
+    to_cells, from_cells,
 )
 from effsim.translations import (
     put_r, local2global, ChoiceState, pop_s, push_s, append_s,
@@ -58,14 +59,14 @@ def test_local2global_matches_local_on_random_programs():
 
 
 def test_pop_s_empty_halts():
-    res = h_nil(h_state(pop_s(), ChoiceState([], [])))
+    res = h_nil(h_state(pop_s(), ChoiceState(None, None)))
     assert res[0] == ()
 
 
 def test_push_append_pop_roundtrip():
     t = push_s(append_s("b", pop_s()), append_s("a", pop_s()))
-    res = h_nil(h_state(t, ChoiceState([], [])))
-    assert res[1].results == ["a", "b"]
+    res = h_nil(h_state(t, ChoiceState(None, None)))
+    assert from_cells(res[1].results) == ["a", "b"]
 
 
 def test_run_nd_example():
@@ -127,22 +128,58 @@ def test_stack_primitives():
         return fold(Leaf, lambda i, op: Node(0 if i == 2 else i, op), t)
 
     t = seq(push_stack("x"), push_stack("y", get(ret, at=2)))
-    res = h_nil(h_state(front(t), []))
-    assert res == (["y", "x"], ["y", "x"])
+    res = h_nil(h_state(front(t), None))
+    assert res == (to_cells(["x", "y"]), to_cells(["x", "y"]))
     # untrail on an empty trail continues at once, leaving it empty.
-    assert h_nil(h_state(front(untrail(ret("k"))), [])) == ("k", [])
+    assert h_nil(h_state(front(untrail(ret("k"))), None)) == ("k", None)
 
 
 def test_untrail_restores_through_marker():
     from effsim.core import fold, Leaf as L, Node
     from effsim.handlers import h_modify
-    trail = [left(2), left(3), MARKER, left(9)]
+    trail = to_cells([left(9), MARKER, left(3), left(2)])  # top last
     # untrail emits restores at 0 and trail-stack ops at 2; retag the stack
     # family to 1 so both handlers sit at the front in turn.
     t = fold(L, lambda i, op: Node(1 if i == 2 else i, op), untrail())
     inner = h_modify(t, 10)  # restores handled; stack ops now at 0
     res = h_nil(h_state(inner, trail))
-    assert res == (((), 5), [left(9)])
+    assert res == (((), 5), to_cells([left(9)]))
+
+
+# The stacks are persistent cons cells: a push conses one cell onto the old
+# stack, result list or trail object, and a pop leaves the old tail object,
+# so that neither copies.  get(Leaf) returns the state it reads.
+
+def test_choicepoint_stack_ops_share_the_old_cells():
+    cs = ChoiceState(to_cells([1, 2]), to_cells([ret(4), ret(3)]))
+    q = ret(5)
+    new = h_nil(h_state(push_s(q, get(Leaf)), cs))[0]
+    assert new.stack[0] is q and new.stack[1] is cs.stack
+    assert new.results is cs.results
+    new = h_nil(h_state(append_s(7, get(Leaf)), cs))[0]
+    assert new.results == (7, cs.results) and new.results[1] is cs.results
+    assert new.stack is cs.stack
+    cs = ChoiceState(cs.results, to_cells([ret(3), get(Leaf)]))
+    new = h_nil(h_state(pop_s(), cs))[0]
+    assert new.stack is cs.stack[1] and new.results is cs.results
+
+
+def test_trail_ops_share_the_old_cells():
+    from effsim.core import fold, Node
+    from effsim.handlers import h_modify
+
+    def retag(t, at):
+        # Move the trail family from its pipeline position 2 to index at.
+        return fold(Leaf, lambda i, op: Node(at if i == 2 else i, op), t)
+
+    trail = to_cells([left(5), MARKER, left(2)])  # top last
+    new = h_nil(h_state(retag(push_stack(MARKER, get(Leaf, at=2)), 0),
+                        trail))[0]
+    assert new == (MARKER, trail) and new[1] is trail
+    # untrail restores left(2) at index 0 and pops through the marker.
+    t = retag(untrail(get(Leaf, at=2)), 1)
+    (seen, s), final = h_nil(h_state(h_modify(t, 10), trail))
+    assert s == 8 and final is trail[1][1] and seen is final
 
 
 def test_local2trail_matches_local():
