@@ -12,7 +12,22 @@ index in the ordered coproduct.  The families are:
 
 Get/MGet continuations are function values (state -> subtree), which keeps
 trees lazy in the state; all other children are concrete subtrees.
+
+bind builds only the top node of its result.  Each child of that node is
+deferred: an operation child c is held, unread, in a private Node subclass
+together with a continuation queue (a function, or a pair of queues, applied
+left to right).  The deferred node's op is built on the first read of t.op,
+by pushing the queue one level further down, and then cached.  Binding a
+deferred node that was not read yet appends to its queue instead of nesting,
+so every bind is O(1) work and a left-nested seq of n operations costs O(n)
+(Kiselyov & Ishii, Freer Monads, More Extensible Effects, 2015).  A leaf
+child is never deferred: the queue is applied to its value at once.  So a
+deferred node is always an operation node with the ordinary idx and op
+attributes, and every isinstance(t, Leaf) / t.idx / t.op site in the
+handlers, translations and machines reads it as a plain Node.
 """
+
+from functools import partial
 
 
 class Leaf:
@@ -135,13 +150,76 @@ def fold(gen, alg, t):
 
 
 def bind(t, f):
-    """Monadic bind: replace every leaf x by f(x); operation nodes preserved."""
-    return fold(f, Node, t)
+    """Monadic bind: replace every leaf x by f(x); operation nodes preserved.
+
+    Only the top node is built now; its children are deferred under f (see
+    the module docstring), so the cost is one map_children call whatever
+    the size of t.
+    """
+    if isinstance(t, Leaf):
+        return f(t.value)
+    if t.__class__ is _Deferred and t._c is not None:
+        return _defer(f, t)
+    return Node(t.idx, t.op.map_children(partial(_defer, f)))
+
+
+def _defer(q, c):
+    """c >>= q for a continuation queue q, building no node of c now.
+
+    Takes q first, so that partial(_defer, q) maps children with one call.
+    """
+    if isinstance(c, Leaf):
+        if q.__class__ is not tuple:
+            return q(c.value)
+        return _run_queue(q, c.value)
+    if c.__class__ is _Deferred and c._c is not None:
+        return _Deferred(c._c, (c._q, q))
+    return _Deferred(c, q)
+
+
+def _run_queue(q, x):
+    """Apply queue q to the value x: rotate its left-nested pairs until a
+    function is at the front, apply it, and go on while the result is a leaf.
+    A loop, so a long queue uses no Python stack."""
+    while True:
+        if q.__class__ is not tuple:
+            return q(x)
+        f, rest = q
+        while f.__class__ is tuple:
+            f, rest = f[0], (f[1], rest)
+        t = f(x)
+        if not isinstance(t, Leaf):
+            return _defer(rest, t)
+        x, q = t.value, rest
+
+
+class _Deferred(Node):
+    """The operation node c >>= q, with q not yet pushed into c's children.
+
+    idx is c's.  op is a property: its first read builds c's op with every
+    child deferred under q, caches it and drops c and q (_c is None from
+    then on).
+    """
+
+    __slots__ = ("_c", "_q", "_op")
+
+    def __init__(self, c, q):
+        self.idx = c.idx
+        self._c = c
+        self._q = q
+
+    @property
+    def op(self):
+        c = self._c
+        if c is not None:
+            self._op = c.op.map_children(partial(_defer, self._q))
+            self._c = self._q = None
+        return self._op
 
 
 def tree_map(t, f):
-    """Functorial map over leaf values."""
-    return bind(t, lambda x: Leaf(f(x)))
+    """Functorial map over leaf values: the paper's fmap, one fold."""
+    return fold(lambda x: Leaf(f(x)), Node, t)
 
 
 def seq(a, b):

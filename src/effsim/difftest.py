@@ -23,10 +23,10 @@ from .core import (
 )
 from .handlers import (
     Undo, INT_UNDO, h_nd, h_state, h_modify, h_ndf, h_nil, h_local, h_global,
-    h_states, to_cells, from_cells,
+    to_cells, from_cells,
 )
 from .translations import (
-    local2global, nondet2state, run_nd, run_ndf, states2state, alpha,
+    local2global, nondet2state, run_nd, run_ndf, states2state,
     local2global_m, local2trail, untrail, push_stack, pop_s, push_s,
     append_s, ChoiceState, MARKER, left,
 )
@@ -275,6 +275,17 @@ SS2 = {"state": 0, "modify_as_state": 1, "nondet": 2}  # two state families
 def _runner(name, undo=INT_UNDO):
     """queens.RUNNERS[name] as a theorem side: a function of (tree, s0)."""
     return lambda t, s0: RUNNERS[name](t, s0, undo)
+
+
+def h_states(t, s1, s2):
+    """Two leading state families, nested: leaves ((a, s1'), s2')."""
+    return h_state(h_state(t, s1), s2)
+
+
+def alpha(v):
+    """((a, x), y) -> (a, (x, y)) — the carrier isomorphism."""
+    (a, x), y = v
+    return (a, (x, y))
 
 
 _SN = (("state", "nondet"), SN)   # (families, layout) of a state row

@@ -215,11 +215,6 @@ def h_global_m(t, s, undo=INT_UNDO):
     return tree_map(w, lambda pair: pair[0])
 
 
-def h_states(t, s1, s2):
-    """Two leading state families, nested: leaves ((a, s1'), s2')."""
-    return h_state(h_state(t, s1), s2)
-
-
 def h_global_t(t, s, undo=INT_UNDO):
     """hGlobalT: global-state semantics with trail-stack restoration.
 

@@ -144,12 +144,6 @@ def states2state(t, at=0):
     return fold(Leaf, alg, t)
 
 
-def alpha(v):
-    """((a, x), y) -> (a, (x, y)) — the carrier isomorphism."""
-    (a, x), y = v
-    return (a, (x, y))
-
-
 # ---------------------------------------------------------------------------
 # simulate: local state via one combined choicepoint-and-user state.
 # ---------------------------------------------------------------------------

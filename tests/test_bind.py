@@ -1,0 +1,197 @@
+"""Deferred bind: linear cost, deep inputs, and the monad laws on effect trees
+with state and nondeterminism."""
+
+import os
+import random
+import subprocess
+import sys
+
+import effsim
+from effsim import core
+from effsim.core import (
+    Leaf, Node, fold, bind, seq, ret, get, put, fail, or_, choose,
+)
+from effsim.handlers import h_nd, h_nil, h_local, h_global
+from effsim.machines import simulate_f
+
+
+OPS = (core.Get, core.Put, core.Fail, core.Or, core.MGet, core.MUpdate,
+       core.MRestore)
+
+
+def eager_bind(t, f):
+    """The free monad's bind as one fold over the whole of t: the reference."""
+    return fold(f, Node, t)
+
+
+def counted_map_children(monkeypatch):
+    """Count every map_children call of every operation class."""
+    calls = [0]
+    for cls in OPS:
+        def counted(self, f, orig=cls.map_children):
+            calls[0] += 1
+            return orig(self, f)
+        monkeypatch.setattr(cls, "map_children", counted)
+    return calls
+
+
+def left_seq(n):
+    """(((put 1 >> put 2) >> put 3) >> ... >> put n) >> get."""
+    t = put(1)
+    for v in range(2, n + 1):
+        t = seq(t, put(v))
+    return seq(t, get(Leaf))
+
+
+def test_left_nested_seq_is_linear(monkeypatch):
+    # Counts, not time.  An eager bind re-folds its left tree at every seq,
+    # n * n / 2 map_children calls in all, 4x per doubling.
+    calls = counted_map_children(monkeypatch)
+    counts = []
+    for n in (500, 1000, 2000, 4000):
+        calls[0] = 0
+        assert h_nil(h_local(left_seq(n), 0)) == [n]
+        counts.append(calls[0])
+    for small, large in zip(counts, counts[1:]):
+        assert large <= 2.2 * small, counts
+
+
+def test_deep_left_nested_seq_without_raised_limit():
+    # 40 000-long left-nested seqs under the interpreter's default recursion
+    # limit, through the pipelines whose handlers and machines are loops.
+    # global, sim, globalM, globalT and simT are left out: their translation
+    # folds (local2global, nondet2state, local2global_m, local2trail) still
+    # recurse once per operation and raise RecursionError at this size.
+    code = (
+        "import sys\n"
+        "import effsim\n"
+        "sys.setrecursionlimit(1000)\n"
+        "from effsim.core import Leaf, seq, put, get, update, mget\n"
+        "from effsim.queens import RUNNERS\n"
+        "from effsim.handlers import INT_UNDO\n"
+        "def chain(op, close):\n"
+        "    t = op(1)\n"
+        "    for v in range(2, 40001):\n"
+        "        t = seq(t, op(v))\n"
+        "    return seq(t, close(Leaf))\n"
+        "for name in ('local', 'fusedF'):\n"
+        "    print(name, RUNNERS[name](chain(put, get), 0, INT_UNDO))\n"
+        "for name in ('localM', 'fusedTF'):\n"
+        "    print(name, RUNNERS[name](chain(update, mget), 0, INT_UNDO))\n")
+    src = os.path.dirname(os.path.dirname(effsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("local [40000]\nfusedF [40000]\n"
+                           "localM [800020000]\nfusedTF [800020000]\n")
+
+
+# Random state/nondet programs (state at index 0, nondet at 1) as tagged
+# tuples, built into trees from a base value so that Get children can be
+# functions of the state.  "seq" builds with bind, so the trees themselves
+# hold deferred nodes.
+
+def random_spec(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return ("ret", rng.randint(-3, 3)) if rng.random() < 0.8 else ("fail",)
+    kind = rng.choice(("or", "seq", "put", "get"))
+    if kind in ("or", "seq"):
+        return (kind, random_spec(rng, depth - 1), random_spec(rng, depth - 1))
+    if kind == "put":
+        return ("put", rng.randint(-3, 3), random_spec(rng, depth - 1))
+    return ("get", random_spec(rng, depth - 1))
+
+
+def build(spec, base):
+    kind = spec[0]
+    if kind == "ret":
+        return ret(base + spec[1])
+    if kind == "fail":
+        return fail()
+    if kind == "or":
+        return or_(build(spec[1], base), build(spec[2], base))
+    if kind == "seq":
+        return bind(build(spec[1], base),
+                    lambda x: build(spec[2], base + x))
+    if kind == "put":
+        return put(base + spec[1], k=build(spec[2], base))
+    return get(lambda s: build(spec[1], base + s))
+
+
+def runs(t):
+    """t's answers under local and global state from several initial
+    states: the comparison trees with function children allow."""
+    return [(h_nil(h_local(t, s0)), h_nil(h_global(t, s0)))
+            for s0 in (-2, 0, 3)]
+
+
+def test_monad_laws_on_state_nondet_trees():
+    rng = random.Random(11)
+    for _ in range(150):
+        sp, sf, sg = (random_spec(rng, 4) for _ in range(3))
+        t = lambda: build(sp, 0)
+        f = lambda x: build(sf, x)
+        g = lambda x: build(sg, x)
+        x = rng.randint(-3, 3)
+        assert runs(bind(ret(x), f)) == runs(f(x))
+        assert runs(bind(t(), ret)) == runs(t())
+        assert runs(bind(bind(t(), f), g)) == \
+            runs(bind(t(), lambda v: bind(f(v), g)))
+        assert runs(bind(bind(t(), f), g)) == \
+            runs(eager_bind(eager_bind(t(), f), g))
+        # t >>= f as the child of a put, not yet read: bind adds to its queue.
+        d = lambda: bind(put(9, k=t()), f).op.k
+        h = lambda x: or_(ret(2 * x), put(x, k=ret(x - 1)))
+        assert runs(bind(bind(d(), g), h)) == \
+            runs(eager_bind(eager_bind(eager_bind(t(), f), g), h))
+
+
+def test_left_nested_binds_keep_dfs_order():
+    t = choose([1, 2], at=0)
+    for d in (1, 2, 3):
+        t = bind(t, lambda x, d=d: choose([10 * x + d, 10 * x - d], at=0))
+    expected = [((10 * a + b1) * 10 + b2) * 10 + b3
+                for a in (1, 2) for b1 in (1, -1) for b2 in (2, -2)
+                for b3 in (3, -3)]
+    assert h_nd(t) == expected
+    assert h_nil(h_local(seq(put(0), bind(
+        choose([1, 2]), lambda x: choose([x, -x]))), 0)) == [1, -1, 2, -2]
+
+
+def test_deferred_tree_runs_twice_with_one_call_per_leaf():
+    calls = []
+
+    def f(x):
+        calls.append(("f", x))
+        return or_(put(x, k=ret(x)), ret(-x))
+
+    def g(x):
+        calls.append(("g", x))
+        return put(10 * x, k=get(lambda s: ret((x, s))))
+
+    t = bind(bind(seq(put(0), choose([1, 2])), f), g)
+    assert calls == []
+    expected = [(1, 10), (-1, -10), (2, 20), (-2, -20)]
+    assert h_nil(h_local(t, 0)) == expected
+    assert h_nil(simulate_f(t, 0)) == expected
+    assert sorted(calls) == sorted([("f", 1), ("f", 2), ("g", 1), ("g", -1),
+                                    ("g", 2), ("g", -2)])
+
+
+def test_get_under_deferred_bind_resumes_repeatedly():
+    # A Get child deferred under two binds; resuming its continuation must
+    # not disturb a later resumption.
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return choose([x, 10 * x], at=0)
+
+    t = bind(bind(put(5, k=get(lambda s: choose([s, -s], at=0))), f),
+             lambda y: ret(y + 1))
+    assert calls == []
+    k = t.op.k.op.k
+    assert [h_nd(k(s)) for s in (1, 2, 1)] == \
+        [[2, 11, 0, -9], [3, 21, -1, -19], [2, 11, 0, -9]]
+    assert calls == [1, -1, 2, -2, 1, -1]

@@ -15,8 +15,9 @@ from effsim.core import (
 )
 from effsim.handlers import (
     Undo, INT_UNDO, h_nd, h_state, h_modify, h_ndf, h_nil,
-    h_local, h_global, h_local_m, h_global_m, h_states, h_global_t,
+    h_local, h_global, h_local_m, h_global_m, h_global_t,
 )
+from effsim.difftest import h_states
 from effsim.translations import local2global
 
 

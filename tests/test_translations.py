@@ -11,10 +11,11 @@ from effsim.handlers import (
 )
 from effsim.translations import (
     put_r, local2global, ChoiceState, pop_s, push_s, append_s,
-    run_nd, nondet2state, run_ndf, states2state, alpha, simulate,
+    run_nd, nondet2state, run_ndf, states2state, simulate,
     local2global_m, local2trail, MARKER, left, push_stack, untrail,
     simulate_t,
 )
+from effsim.difftest import alpha
 
 
 def random_local_program(rng, depth):
