@@ -1,20 +1,22 @@
-"""Handlers: interpreting one leading signature family at a time.
+"""Handlers: running stacks of signature-family handlers over effect trees.
 
-Handlers over a residual signature return a residual tree whose injection
-indices are shifted down past the handled family.  The state-like handlers
-(hState1, hModify1) are the fused single-fold versions, and h_ndf is the
-paper's runND+f machine (a results list and a stack of pending branches),
-which the paper proves equal to the liftM2 (++) definition of hND+f.  All
-are iterative loops, so arbitrarily long operation chains and wide choices
-do not consume Python stack; only the forwarding of a residual operation
-recurses.
+A handler stack is a tuple of frames, each a family ("state", "modify" or
+"nondet") and the injection index it handles in the input tree, in the
+order the handlers are applied.  run_stack runs a whole stack in one loop
+and builds no residual tree between its handlers.  An operation at an index
+no frame owns is forwarded as a residual node, with the frame states
+captured and copied on each resumption; only that forwarding recurses.
 
-h_ndf takes the injection index of the family it handles, so the global
-handlers run hND+f . swap as one pass, h_ndf at index 1.  Its persistent
-cons cells ((head, tail), None for empty) are also the representation of the
-choicepoint stacks, result lists and trails of the translations; to_cells
-and from_cells convert them from and to lists.
+A nondet frame's choicepoint saves the states of the frames listed before
+it and no others: that one rule is the whole difference between local state
+(h_local, state then nondet) and global state (h_global, nondet then
+state).  h_state (hState1), h_modify (hModify1) and h_ndf (hND+f, as the
+paper's runND+f machine) are the one-frame stacks.  The nondet cons cells
+((head, tail), None for empty) also hold the translations' stacks, results
+and trails; to_cells and from_cells convert lists to cells and back.
 """
+
+import functools
 
 from .core import (
     Leaf, Node, Get, Put, Fail, Or, MGet, MUpdate, MRestore,
@@ -57,56 +59,6 @@ def h_nd(t):
     return out
 
 
-def h_state(t, s):
-    """hState1: handle the leading StateF family, threading state s.
-
-    Returns a residual tree whose leaves are (answer, final_state) pairs;
-    residual operations are forwarded with the current state captured.
-    """
-    while True:
-        if isinstance(t, Leaf):
-            return Leaf((t.value, s))
-        if t.idx == 0:
-            op = t.op
-            if isinstance(op, Get):
-                t = op.k(s)
-            elif isinstance(op, Put):
-                s = op.s
-                t = op.k
-            else:
-                raise ValueError("h_state: non-state operation %s at "
-                                 "index 0" % type(op).__name__)
-        else:
-            cur = s
-            return Node(t.idx - 1,
-                        t.op.map_children(lambda c, cur=cur: h_state(c, cur)))
-
-
-def h_modify(t, s, undo=INT_UNDO):
-    """hModify1: handle the leading ModifyF family with an Undo instance."""
-    while True:
-        if isinstance(t, Leaf):
-            return Leaf((t.value, s))
-        if t.idx == 0:
-            op = t.op
-            if isinstance(op, MGet):
-                t = op.k(s)
-            elif isinstance(op, MUpdate):
-                s = undo.plus(s, op.r)
-                t = op.k
-            elif isinstance(op, MRestore):
-                s = undo.minus(s, op.r)
-                t = op.k
-            else:
-                raise ValueError("h_modify: non-modify operation %s at "
-                                 "index 0" % type(op).__name__)
-        else:
-            cur = s
-            return Node(t.idx - 1,
-                        t.op.map_children(
-                            lambda c, cur=cur: h_modify(c, cur, undo)))
-
-
 def to_cells(items):
     """Persistent cons cells holding items, the last one at the head."""
     xs = None
@@ -126,44 +78,96 @@ def from_cells(xs):
     return out
 
 
-def h_ndf(t, at=0):
-    """hND+f as the runND+f machine: handle the NondetF family at index at,
-    forwarding the rest.
+# family -> (single handler, the op class that reads and the one that writes)
+_FAMILIES = {"state": ("h_state", Get, Put), "nondet": ("h_ndf", None, Or),
+             "modify": ("h_modify", MGet, MUpdate)}
 
-    The machine keeps the results so far and the pending right branches as
-    persistent cons cells ((head, tail), None for empty): a leaf conses its
-    value onto the results, Or pushes its right branch and runs the left,
-    and Fail or a finished leaf pops the next branch.  A residual operation
-    is forwarded with the current cells captured; cells are never mutated,
-    so its continuations can be resumed any number of times.  Indices below
-    at stay and indices above at drop by one, so h_ndf at index 1 is
-    hND+f . swap.
 
-    Returns a residual tree whose leaves are DFS-ordered result lists.
-    """
-    def run(t, xs, stack):
-        while True:
-            if isinstance(t, Leaf):
-                xs = (t.value, xs)
-            elif t.idx == at:
-                op = t.op
-                if isinstance(op, Or):
-                    stack = (op.r, stack)
-                    t = op.l
-                    continue
-                if not isinstance(op, Fail):
-                    raise ValueError("h_ndf: non-nondet operation %s at "
-                                     "index %d" % (type(op).__name__, at))
-            else:
-                idx = t.idx
-                return Node(idx if idx < at else idx - 1,
+@functools.cache  # one plan per distinct frames tuple, a handful of rows
+def _plan(frames):
+    """A stack's set-up: owned index -> (_FAMILIES op classes, state slot,
+    the single handler's stray message when nested); index -> how many owned
+    indices lie below it; the nondet frame's position p (len(frames) if
+    none); and whether there is one."""
+    p = ([family for family, _at in frames] + ["nondet"]).index("nondet")
+    own = {}
+    for j, (family, at) in enumerate(frames):
+        name, rd, wr = _FAMILIES[family]
+        seen = at - sum(a < at for _f, a in frames[:j])
+        own[at] = (rd, wr, j - (j > p), "%s: non-%s operation %%s at index "
+                   "%d" % (name, family, seen))
+    below = {i: sum(a < i for a in own) for i in range(max(own, default=0))}
+    return own, below, p, p < len(frames)
+
+
+def run_stack(t, frames, states, undo=INT_UNDO):
+    """Run the handler stack frames over t in one pass, from states, the
+    initial states of its state and modify frames.  Leaves pair the answer
+    with each state before the nondet frame, which collects them into a
+    DFS-ordered list paired with each state after it, as nested handlers do.
+    In the residual tree, indices drop by the owned indices below them."""
+    return _run(t, list(states), None, None, _plan(frames), undo)
+
+
+def _run(t, st, xs, stack, plan, undo):
+    """run_stack's loop from frame states st, results xs and branches stack."""
+    own, below, p, nd = plan
+    while True:
+        if t.__class__ is Leaf:
+            v = t.value
+            for s in st[:p]:
+                v = (v, s)
+            if not nd:
+                return Leaf(v)
+            xs = (v, xs)
+        else:
+            frame = own.get(t.idx)
+            if frame is None:
+                return Node(t.idx - below.get(t.idx, len(own)),
                             t.op.map_children(
-                                lambda c, xs=xs, stack=stack:
-                                run(c, xs, stack)))
-            if stack is None:
-                return Leaf(from_cells(xs))
-            t, stack = stack
-    return run(t, None, None)
+                                lambda c, st=st, xs=xs, stack=stack:
+                                _run(c, st[:], xs, stack, plan, undo)))
+            rd, wr, i, stray = frame
+            op = t.op
+            c = op.__class__
+            if c is rd:  # Get or MGet
+                t = op.k(st[i])
+                continue
+            if c is wr and c is Or:  # push the right branch
+                stack = (op.r, st[:p], stack)
+                t = op.l
+                continue
+            if c is wr or c is MRestore and wr is MUpdate:  # a write
+                st[i] = (op.s if c is Put else undo.plus(st[i], op.r)
+                         if c is MUpdate else undo.minus(st[i], op.r))
+                t = op.k
+                continue
+            if c is not Fail or wr is not Or:  # Fail pops
+                raise ValueError(stray % c.__name__)
+        if stack is None:
+            v = from_cells(xs)
+            for s in st[p:]:
+                v = (v, s)
+            return Leaf(v)
+        t, saved, stack = stack
+        st[:p] = saved
+
+
+def h_state(t, s):
+    """hState1: handle the leading StateF family, threading state s; leaves
+    are (answer, final_state) pairs."""
+    return run_stack(t, (("state", 0),), (s,))
+
+
+def h_modify(t, s, undo=INT_UNDO):
+    """hModify1: handle the leading ModifyF family with an Undo instance."""
+    return run_stack(t, (("modify", 0),), (s,), undo)
+
+
+def h_ndf(t, at=0):
+    """hND+f, the runND+f machine, on the NondetF family at index at (at 1 it
+    is hND+f . swap); leaves are DFS-ordered result lists."""
+    return run_stack(t, (("nondet", at),), ())
 
 
 def h_nil(t):
@@ -184,7 +188,7 @@ def h_local(t, s):
 
     hLocal = fmap (fmap (fmap fst) . hND+f) . runStateT . hState
     """
-    u = h_ndf(h_state(t, s))
+    u = run_stack(t, (("state", 0), ("nondet", 1)), (s,))
     return tree_map(u, lambda prs: [a for (a, _s) in prs])
 
 
@@ -192,26 +196,23 @@ def h_global(t, s):
     """Global-state semantics: nondeterminism handled before state.
 
     hGlobal = fmap (fmap fst) . flip runStateT s . hState . hND+f . swap
-
-    Run fused with hND+f . swap as h_ndf at index 1.
     """
-    w = h_state(h_ndf(t, 1), s)
+    w = run_stack(t, (("nondet", 1), ("state", 0)), (s,))
     return tree_map(w, lambda pair: pair[0])
 
 
 def h_local_m(t, s, undo=INT_UNDO):
     """hLocalM: local-state semantics via the modify handler."""
-    u = h_ndf(h_modify(t, s, undo))
+    u = run_stack(t, (("modify", 0), ("nondet", 1)), (s,), undo)
     return tree_map(u, lambda prs: [a for (a, _s) in prs])
 
 
 def h_global_m(t, s, undo=INT_UNDO):
     """hGlobalM: global-state semantics via the modify handler.
 
-    hGlobalM = fmap (fmap fst) . flip runStateT s . hModify . hND+f . swap,
-    run with hND+f . swap as h_ndf at index 1.
+    hGlobalM = fmap (fmap fst) . flip runStateT s . hModify . hND+f . swap
     """
-    w = h_modify(h_ndf(t, 1), s, undo)
+    w = run_stack(t, (("nondet", 1), ("modify", 0)), (s,), undo)
     return tree_map(w, lambda pair: pair[0])
 
 
@@ -221,11 +222,9 @@ def h_global_t(t, s, undo=INT_UNDO):
     hGlobalT = fmap (fmap fst . flip runStateT (Stack []) . hState)
              . hGlobalM . local2trail
 
-    Run with hGlobalM inlined as hModify . hND+f . swap, and hND+f . swap
-    as h_ndf at index 1, so that the two fmap fst run once, as one
-    projection of the closed result.
+    as one stack, so that the two fmap fst run once; the trail starts empty.
     """
     from .translations import local2trail
-    u = h_modify(h_ndf(local2trail(t), 1), s, undo)  # [StateF(Stack)|rest]
-    w = h_state(u, None)                             # trail starts empty
+    w = run_stack(local2trail(t), (("nondet", 1), ("modify", 0),
+                                   ("state", 2)), (s, None), undo)
     return tree_map(w, lambda pair: pair[0][0])

@@ -21,7 +21,7 @@ from .core import (
     Leaf, Node, Get, Put, Fail, Or, MUpdate,
     tree_map, get, put, fail, or_, update, restore, fold,
 )
-from .handlers import h_state, h_modify, h_nil, from_cells, INT_UNDO
+from .handlers import h_state, h_nil, run_stack, from_cells, INT_UNDO
 
 
 # ---------------------------------------------------------------------------
@@ -248,5 +248,6 @@ def simulate_t(t, s, undo=INT_UNDO):
     u = local2trail(t)                   # [M, N, Trail | rest]
     u = nondet2state(u, at=1)            # [M, SS, Trail | rest]
     u = states2state(u, at=1)            # [M, (SS, Trail) | rest]
-    v = h_state(h_modify(u, s, undo), (ChoiceState(None, None), None))
+    v = run_stack(u, (("modify", 0), ("state", 1)),
+                  (s, (ChoiceState(None, None), None)), undo)
     return tree_map(v, lambda pair: from_cells(pair[1][0].results))

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+import effsim.cli
 from effsim.cli import main, _build_parser
+from effsim.queens import PIPELINES
 
 
 def run(capsys, *argv):
@@ -32,6 +34,13 @@ def test_queens_rejects_bad_n(capsys):
     with pytest.raises(SystemExit) as e:
         main(["queens", "--n", "0"])
     assert e.value.code == 2
+
+
+def test_queens_rejects_non_integer_n(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["queens", "--n", "x"])
+    assert e.value.code == 2
+    assert "n must be an integer" in capsys.readouterr().err
 
 
 def test_queens_rejects_bad_pipeline(capsys):
@@ -75,6 +84,19 @@ def test_lemmas_suite(capsys):
                     "--trials", "40", "--seed", "42")
     assert code == 0
     assert "0 failures" in out
+
+
+def test_failing_suite_text(capsys, monkeypatch):
+    failure = {"trialSeed": 17, "astText": "ret 1", "lhs": "[1]",
+               "rhs": "[2]"}
+    monkeypatch.setattr(effsim.cli, "check_theorem", lambda *a, **k: {
+        "suite": "T-localglobal", "trials": 3, "seed": 42,
+        "failures": [failure]})
+    code, out = run(capsys, "difftest", "--suite", "T-localglobal")
+    assert code == 1
+    assert out.splitlines() == ["suite T-localglobal: 3 trials, 1 failures",
+                                "  trialSeed=17  ret 1", "    lhs=[1]",
+                                "    rhs=[2]"]
 
 
 def test_suite_command_defaults():
@@ -133,6 +155,30 @@ def test_bench_agreement(capsys):
     assert payload["agreement"] is True
     assert len(payload["timings"]) == 10
     assert all(row["count"] == 10 for row in payload["timings"])
+
+
+def test_bench_text(capsys):
+    code, out = run(capsys, "bench", "--n", "4")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "n=4  agreement=True"
+    assert [line.split()[0] for line in lines[1:]] == list(PIPELINES)
+    assert all(line.endswith("s  2 solutions") for line in lines[1:])
+
+
+def test_bench_disagreement_fails(capsys, monkeypatch):
+    monkeypatch.setitem(PIPELINES, "fusedTF", lambda n: [])
+    code, out = run(capsys, "bench", "--n", "4", "--output", "json")
+    assert code == 1
+    assert json.loads(out)["agreement"] is False
+
+
+def test_trace_text(capsys):
+    code, out = run(capsys, "trace", "--n", "4")
+    assert code == 0
+    *records, last = out.splitlines()
+    assert last == "%d steps, 2 solutions" % len(records)
+    assert records and all(len(r.split("\t")) == 4 for r in records)
 
 
 def test_trace_records_machine_steps(capsys):

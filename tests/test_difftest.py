@@ -1,5 +1,8 @@
 """Differential-testing module: generator, oracle, theorem/law/lemma checks."""
 
+import pytest
+
+from effsim import difftest, handlers
 from effsim.core import Leaf
 from effsim.difftest import (
     eval_expr, show_ast, gen_program, lower, oracle_eval,
@@ -242,3 +245,25 @@ def test_restored_lemmas_catch_a_missing_restore(monkeypatch):
         assert all(f["astText"].startswith("s0=") for f in failures), ident
         counts[ident] = len(failures)
     assert counts == {"state-restored": 116, "modify-restored": 136}
+
+
+@pytest.mark.parametrize("lemma, name, broken, prefix", [
+    ("pop-extract", "pop_s", lambda at=0: Leaf(()), "pop-extract;"),
+    ("stack-eval", "append_s", lambda x, p, at=0: p, "evaluation-append"),
+    ("dist-bind", "h_state", lambda t, s: handlers.h_state(t, 0),
+     "dist-hState1;"),
+    ("trail-tracks", "local2trail", difftest._local2trail_untrailed_branch,
+     "trail-tracks;"),
+    ("untrail-undos", "untrail", lambda k=Leaf(()): k, "untrail-undos;"),
+    ("state-stack-restored", "untrail", lambda k=Leaf(()): k,
+     "state-stack-restored;"),
+], ids=["pop-extract", "stack-eval", "dist-bind", "trail-tracks",
+        "untrail-undos", "state-stack-restored"])
+def test_lemma_checks_record_failures(monkeypatch, lemma, name, broken,
+                                      prefix):
+    # Each hand-written lemma check, run against one broken name, records
+    # its failures under its own label.
+    monkeypatch.setattr(difftest, name, broken)
+    failures = check_lemma(lemma, 200, 42)["failures"]
+    assert failures, lemma
+    assert all(f["astText"].startswith(prefix) for f in failures), lemma

@@ -1,10 +1,13 @@
-"""The fused translations against the compositions they are derived from.
+"""The fused translations and handler stacks against the compositions they
+are derived from.
 
 simulate and simulate_t run the paper's pipelines with the retagging folds
 fused into the translations, and the translations build their output with
-continuation-taking constructors instead of seq.  The paper's forms are kept
-here as references, and each fused form must give the same answers and the
-same final states on random programs.
+continuation-taking constructors instead of seq.  Every handler, single or
+composite, is a row of handlers.run_stack.  The paper's forms and the single
+handlers as separate loops are kept here as references, and each fused form
+must give the same answers, the same final states, the same resumptions of a
+forwarded continuation and the same stray-operation errors.
 """
 
 import random
@@ -12,12 +15,14 @@ import random
 import pytest
 
 from effsim.core import (
-    Leaf, Node, MUpdate, get, put, or_, seq, side, update, restore, fold,
-    tree_map, swap, rotate, show_tree,
+    Leaf, Node, Get, Put, Fail, Or, MGet, MUpdate, MRestore, get, put, fail,
+    or_, seq, side, mget, update, restore, fold, tree_map, swap, rotate,
+    show_tree,
 )
 from effsim.difftest import gen_program, lower
 from effsim.handlers import (
-    h_state, h_modify, h_ndf, h_nil, to_cells, from_cells,
+    Undo, INT_UNDO, h_state, h_modify, h_ndf, h_nil, h_local, h_global,
+    h_local_m, h_global_m, h_global_t, to_cells, from_cells,
 )
 from effsim.translations import (
     ChoiceState, MARKER, left, put_r, local2global, local2global_m,
@@ -43,7 +48,85 @@ def _programs(families, layout, seed, n=150, depth=5):
 
 def _close(v, third):
     """Close a handled tree: a third state family starts from 100."""
-    return h_nil(h_state(v, 100)) if third else (h_nil(v), None)
+    return h_nil(ref_state(v, 100)) if third else (h_nil(v), None)
+
+
+# ---------------------------------------------------------------------------
+# The single handlers as separate loops, each forwarding what it does not
+# handle as a residual tree for the next handler, as references.
+# ---------------------------------------------------------------------------
+
+def ref_state(t, s):
+    """hState1: handle the leading StateF family, threading state s."""
+    while True:
+        if isinstance(t, Leaf):
+            return Leaf((t.value, s))
+        if t.idx == 0:
+            op = t.op
+            if isinstance(op, Get):
+                t = op.k(s)
+            elif isinstance(op, Put):
+                s = op.s
+                t = op.k
+            else:
+                raise ValueError("h_state: non-state operation %s at "
+                                 "index 0" % type(op).__name__)
+        else:
+            cur = s
+            return Node(t.idx - 1,
+                        t.op.map_children(lambda c, cur=cur: ref_state(c, cur)))
+
+
+def ref_modify(t, s, undo=INT_UNDO):
+    """hModify1: handle the leading ModifyF family with an Undo instance."""
+    while True:
+        if isinstance(t, Leaf):
+            return Leaf((t.value, s))
+        if t.idx == 0:
+            op = t.op
+            if isinstance(op, MGet):
+                t = op.k(s)
+            elif isinstance(op, MUpdate):
+                s = undo.plus(s, op.r)
+                t = op.k
+            elif isinstance(op, MRestore):
+                s = undo.minus(s, op.r)
+                t = op.k
+            else:
+                raise ValueError("h_modify: non-modify operation %s at "
+                                 "index 0" % type(op).__name__)
+        else:
+            cur = s
+            return Node(t.idx - 1,
+                        t.op.map_children(
+                            lambda c, cur=cur: ref_modify(c, cur, undo)))
+
+
+def ref_ndf(t, at=0):
+    """hND+f as the runND+f machine over cons cells, at index at."""
+    def run(t, xs, stack):
+        while True:
+            if isinstance(t, Leaf):
+                xs = (t.value, xs)
+            elif t.idx == at:
+                op = t.op
+                if isinstance(op, Or):
+                    stack = (op.r, stack)
+                    t = op.l
+                    continue
+                if not isinstance(op, Fail):
+                    raise ValueError("h_ndf: non-nondet operation %s at "
+                                     "index %d" % (type(op).__name__, at))
+            else:
+                idx = t.idx
+                return Node(idx if idx < at else idx - 1,
+                            t.op.map_children(
+                                lambda c, xs=xs, stack=stack:
+                                run(c, xs, stack)))
+            if stack is None:
+                return Leaf(from_cells(xs))
+            t, stack = stack
+    return run(t, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -189,3 +272,110 @@ def test_local2global_m_equals_seq_side_form():
     for t, s0 in _programs(*MN, seed=6):
         assert h_nil(h_modify(h_ndf(swap(local2global_m(t))), s0)) \
             == h_nil(h_modify(h_ndf(swap(local2global_m_seq(t))), s0))
+
+
+# ---------------------------------------------------------------------------
+# Every row of run_stack against its nested single-handler references.
+# ---------------------------------------------------------------------------
+
+_SCALE_UNDO = Undo(lambda s, r: 3 * s + r, lambda s, r: (s - r) // 3)
+
+
+def _firsts(prs):
+    return [a for (a, _s) in prs]
+
+
+def _simulate_t_ref(t, s):
+    u = states2state(nondet2state(local2trail(t), at=1), at=1)
+    v = ref_state(ref_modify(u, s), (ChoiceState(None, None), None))
+    return tree_map(v, lambda pair: from_cells(pair[1][0].results))
+
+
+# name -> (layouts, row, nested reference), each side taking (t, s) and
+# closing the handled families with the same reference handlers; the
+# residual is over the third family, if the layout has one.
+ROWS = {
+    "h_state": ((SN, SN3), lambda t, s: ref_ndf(h_state(t, s)),
+                lambda t, s: ref_ndf(ref_state(t, s))),
+    "h_modify": ((MN, MN3), lambda t, s: ref_ndf(h_modify(t, s)),
+                 lambda t, s: ref_ndf(ref_modify(t, s))),
+    "h_modify-undo": ((MN, MN3),
+                      lambda t, s: ref_ndf(h_modify(t, s, _SCALE_UNDO)),
+                      lambda t, s: ref_ndf(ref_modify(t, s, _SCALE_UNDO))),
+    "h_ndf-0": ((SN, SN3), lambda t, s: ref_state(h_ndf(swap(t)), s),
+                lambda t, s: ref_state(ref_ndf(swap(t)), s)),
+    "h_ndf-1": ((SN, SN3), lambda t, s: ref_state(h_ndf(t, 1), s),
+                lambda t, s: ref_state(ref_ndf(t, 1), s)),
+    "local": ((SN, SN3), h_local,
+              lambda t, s: tree_map(ref_ndf(ref_state(t, s)), _firsts)),
+    "global": ((SN, SN3), h_global, lambda t, s: tree_map(
+        ref_state(ref_ndf(t, 1), s), lambda pair: pair[0])),
+    "localM": ((MN, MN3), h_local_m,
+               lambda t, s: tree_map(ref_ndf(ref_modify(t, s)), _firsts)),
+    "globalM": ((MN, MN3), h_global_m, lambda t, s: tree_map(
+        ref_modify(ref_ndf(t, 1), s), lambda pair: pair[0])),
+    "globalT": ((MN, MN3), h_global_t, lambda t, s: tree_map(
+        ref_state(ref_modify(ref_ndf(local2trail(t), 1), s), None),
+        lambda pair: pair[0][0])),
+    "simT": ((MN, MN3), simulate_t, _simulate_t_ref),
+}
+
+
+@pytest.mark.parametrize("name", list(ROWS))
+def test_row_equals_nested_references(name):
+    layouts, row, ref = ROWS[name]
+    for layout in layouts:
+        third = len(layout[0]) == 3
+        for t, s0 in _programs(*layout, seed=8):
+            assert _close(row(t, s0), third) == _close(ref(t, s0), third)
+
+
+def _forwarding_program(state_family):
+    """put 3; (get2 y; put (y * 10); get s; ret (y, s) | get s; ret ("r", s)),
+    with get2 a third state family, which no row handles."""
+    put_, get_ = (put, get) if state_family else (update, mget)
+    return seq(put_(3), or_(
+        get(lambda y: seq(put_(y * 10), get_(lambda s: Leaf((y, s)))), at=2),
+        get_(lambda s: Leaf(("r", s)))))
+
+
+@pytest.mark.parametrize("name", list(ROWS))
+def test_forwarded_continuation_resumes_like_reference(name):
+    # The residual get captures the frame states; each resumption must start
+    # from them afresh, whatever the resumptions before it did.
+    layouts, row, ref = ROWS[name]
+    t = _forwarding_program(layouts[0] is SN)
+    outs = []
+    for run in (row, ref):
+        r = run(t, 0)
+        assert r.idx == 0 and isinstance(r.op, Get), name
+        outs.append([_close(r.op.k(y), True) for y in (1, 2, 1)])
+    assert outs[0] == outs[1]
+    assert outs[0][0] == outs[0][2] != outs[0][1]
+
+
+# Every operation, as a one-node tree at index at.
+STRAYS = (lambda at: get(Leaf, at=at), lambda at: put(1, at=at),
+          lambda at: mget(Leaf, at=at), lambda at: update(1, at=at),
+          lambda at: restore(1, at=at), lambda at: fail(at=at),
+          lambda at: or_(Leaf(0), Leaf(1), at=at))
+
+
+def _outcome(run, t):
+    try:
+        return "ok", _close(run(t, 0), False)
+    except ValueError as e:
+        return "error", str(e)
+
+
+@pytest.mark.parametrize("name", list(ROWS))
+def test_stray_operation_raises_reference_message(name):
+    _layouts, row, ref = ROWS[name]
+    for at in (0, 1):
+        errors = 0
+        for stray in STRAYS:
+            t = stray(at)
+            outcome = _outcome(row, t)
+            assert outcome == _outcome(ref, t), (name, at, show_tree(t))
+            errors += outcome[0] == "error"
+        assert errors >= 3, (name, at)

@@ -37,6 +37,28 @@ def test_h_nd_long_chain():
     assert h_nd(t) == list(range(n))
 
 
+def test_wide_choose_without_raised_limit():
+    # A 40 000-way choose through local and localM under the interpreter's
+    # default recursion limit: the state or modify frame and the nondet frame
+    # run as one loop, so no branch is forwarded between handlers.
+    code = ("import sys\n"
+            "import effsim\n"
+            "sys.setrecursionlimit(1000)\n"
+            "from effsim.core import choose\n"
+            "from effsim.handlers import INT_UNDO\n"
+            "from effsim.queens import RUNNERS\n"
+            "t = choose(range(40000))\n"
+            "for name in ('local', 'localM'):\n"
+            "    print(name, RUNNERS[name](t, 0, INT_UNDO) == "
+            "list(range(40000)))\n")
+    src = os.path.dirname(os.path.dirname(effsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "local True\nlocalM True\n"
+
+
 def test_h_nd_rejects_foreign_ops():
     with pytest.raises(ValueError):
         h_nd(put(1, at=0))

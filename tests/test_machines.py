@@ -3,9 +3,9 @@
 import random
 
 from effsim.core import (
-    Leaf, ret, get, put, fail, or_, choose, seq, mget, update,
+    Leaf, ret, get, put, fail, or_, choose, seq, mget, update, restore,
 )
-from effsim.handlers import Undo, h_nil, h_local, h_local_m
+from effsim.handlers import Undo, h_nil, h_local, h_local_m, h_global_t
 from effsim.machines import simulate_f, simulate_tf
 from effsim.translations import simulate, simulate_t
 from tests.test_translations import random_local_program, \
@@ -132,3 +132,21 @@ def test_simulate_tf_deep_chain():
     for _ in range(10_000):
         t = seq(update(1, at=0), t)
     assert h_nil(simulate_tf(t, 0)) == [10_000]
+
+
+def test_simulate_tf_restore():
+    t = seq(update(5), seq(restore(2), mget(ret)))
+    steps = []
+    assert h_nil(simulate_tf(t, 0, trace=steps)) == [3]
+    assert steps == [("update", 0, 0, 1), ("restore", 0, 0, 1),
+                     ("mget", 0, 0, 1), ("ret", 1, 0, 1)]
+    assert h_nil(simulate_t(t, 0)) == h_nil(h_local_m(t, 0)) == [3]
+
+
+def test_restore_breaks_the_trail_theorems():
+    # The theorems assume a program without restore: a restore is not
+    # trailed, so the right branch starts from 5 - 2 - 5 instead of 0.
+    t = or_(seq(update(5), seq(restore(2), mget(ret))), mget(ret))
+    for run in (simulate_tf, simulate_t, h_global_t):
+        assert h_nil(run(t, 0)) == [3, -2], run.__name__
+    assert h_nil(h_local_m(t, 0)) == [3, 0]
