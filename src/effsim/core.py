@@ -284,23 +284,6 @@ def side(m, at=1):
 
 
 # ---------------------------------------------------------------------------
-# Signature permutations (injection-index retagging, applied recursively).
-# ---------------------------------------------------------------------------
-
-def swap(t):
-    """Exchange the first two families of the signature (indices 0 <-> 1)."""
-    return fold(Leaf, lambda i, op: Node(1 - i if i < 2 else i, op), t)
-
-
-_ROTATE = {0: 2, 1: 0, 2: 1}
-
-
-def rotate(t):
-    """Permute a four-family signature [f1,f2,f3,f4] -> [f2,f3,f1,f4]."""
-    return fold(Leaf, lambda i, op: Node(_ROTATE.get(i, i), op), t)
-
-
-# ---------------------------------------------------------------------------
 # Debug pretty-printer (stable text form; function children shown as <fun>).
 # It is also the repr of Leaf and Node.
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .core import (
     restore, fold,
 )
 from .handlers import (
-    Undo, INT_UNDO, h_nd, h_state, h_modify, h_ndf, h_nil, h_local, h_global,
-    to_cells, from_cells,
+    Undo, INT_UNDO, h_nd, h_state, h_modify, h_nil, h_local, h_global,
+    run_stack, to_cells, from_cells,
 )
 from .translations import (
     local2global, nondet2state, run_nd, run_ndf, states2state,
@@ -157,15 +157,15 @@ def lower(ast, layout, env=None):
         return get(body, at=layout["state" if kind == "get"
                                    else "modify_as_state"])
     if kind == "put":
-        return seq(put(eval_expr(ast[1], env), at=layout["state"]),
+        return put(eval_expr(ast[1], env), layout["state"],
                    lower(ast[2], layout, env))
     if kind == "update":
         r = eval_expr(ast[1], env)
         if "modify_as_state" in layout:
             at = layout["modify_as_state"]
-            return get(lambda s: seq(put(s + r, at=at),
-                                     lower(ast[2], layout, env)), at=at)
-        return seq(update(r, at=layout["modify"]), lower(ast[2], layout, env))
+            return get(lambda s: put(s + r, at, lower(ast[2], layout, env)),
+                       at=at)
+        return update(r, layout["modify"], lower(ast[2], layout, env))
     raise ValueError("bad ast %r" % (ast,))
 
 
@@ -277,11 +277,6 @@ def _runner(name, undo=INT_UNDO):
     return lambda t, s0: RUNNERS[name](t, s0, undo)
 
 
-def h_states(t, s1, s2):
-    """Two leading state families, nested: leaves ((a, s1'), s2')."""
-    return h_state(h_state(t, s1), s2)
-
-
 def alpha(v):
     """((a, x), y) -> (a, (x, y)) — the carrier isomorphism."""
     (a, x), y = v
@@ -297,13 +292,16 @@ THEOREMS = {
     "T-nondetstateS": (("nondet",), {"nondet": 0}, _runner("naive"),
                        lambda t, s0: run_nd(t)),
     "T-nondetstate": (("state", "nondet"), NS,
-                      lambda t, s0: h_nil(h_state(h_ndf(t), s0)),
+                      lambda t, s0: h_nil(run_stack(
+                          t, (("nondet", 0), ("state", 1)), (s0,))),
                       lambda t, s0: h_nil(h_state(run_ndf(t), s0))),
     "T-statesstate": (("state", "modify", "nondet"), SS2,
-                      lambda t, s0: [alpha(v) for v in
-                                     h_nd(h_states(t, s0, s0 + 1))],
-                      lambda t, s0: h_nd(h_state(states2state(t),
-                                                 (s0, s0 + 1)))),
+                      lambda t, s0: [alpha(v) for v in h_nil(run_stack(
+                          t, (("state", 0), ("state", 1), ("nondet", 2)),
+                          (s0, s0 + 1)))],
+                      lambda t, s0: h_nil(run_stack(
+                          states2state(t), (("state", 0), ("nondet", 1)),
+                          ((s0, s0 + 1),)))),
     "T-simulate": _SN + (_runner("local"), _runner("sim")),
     "T-fusedF": _SN + (_runner("sim"), _runner("fusedF")),
     "T-modify": _MN + (_runner("localM"), _runner("globalM")),
@@ -489,15 +487,15 @@ def check_laws(suite, trials, seed):
 # ---------------------------------------------------------------------------
 
 def _trail_run(t, s, trail, undo=INT_UNDO):
-    """hState1 ((hModify1 . hND+f . swap) t s) trail, keeping all pairs,
-    with hND+f . swap run as h_ndf at index 1.
+    """hState1 ((hModify1 . hND+f . swap) t s) trail, keeping all pairs:
+    h_global_t's stack without its projection.
 
     t is over [ModifyF, NondetF, StateF(Trail) | ...]; result is
     ((answers, s_final), trail_final).  Both trails are lists, the top
     first.
     """
-    w = h_modify(h_ndf(t, 1), s, undo)
-    res, tr = h_nil(h_state(w, to_cells(trail[::-1])))
+    res, tr = h_nil(run_stack(t, (("nondet", 1), ("modify", 0), ("state", 2)),
+                              (s, to_cells(trail[::-1])), undo))
     return res, from_cells(tr)[::-1]
 
 
@@ -621,12 +619,14 @@ def _check_state_stack_restored(report, ts, rng):
 
 
 # state-restored and modify-restored: a restoring translation run by its
-# handlers ends in the initial state s0.
+# global handler's stack, without the projection, ends in the initial state.
 _LEMMA_CHECKS = {
-    "state-restored": _agree(*_SN, lambda t, s0: h_nil(h_state(
-        h_ndf(local2global(t), 1), s0))[1], lambda t, s0: s0, 5),
-    "modify-restored": _agree(*_MN, lambda t, s0: h_nil(h_modify(
-        h_ndf(local2global_m(t), 1), s0))[1], lambda t, s0: s0, 5),
+    "state-restored": _agree(*_SN, lambda t, s0: h_nil(run_stack(
+        local2global(t), (("nondet", 1), ("state", 0)), (s0,)))[1],
+        lambda t, s0: s0, 5),
+    "modify-restored": _agree(*_MN, lambda t, s0: h_nil(run_stack(
+        local2global_m(t), (("nondet", 1), ("modify", 0)), (s0,)))[1],
+        lambda t, s0: s0, 5),
     "pop-extract": _check_pop_extract,
     "stack-eval": _check_stack_eval,
     "dist-bind": _check_dist_bind,

@@ -115,8 +115,9 @@ def _run(t, st, xs, stack, plan, undo):
     while True:
         if t.__class__ is Leaf:
             v = t.value
-            for s in st[:p]:
-                v = (v, s)
+            if p:  # p == 0: no state to pair here, to save or to restore
+                for s in st[:p]:
+                    v = (v, s)
             if not nd:
                 return Leaf(v)
             xs = (v, xs)
@@ -134,7 +135,7 @@ def _run(t, st, xs, stack, plan, undo):
                 t = op.k(st[i])
                 continue
             if c is wr and c is Or:  # push the right branch
-                stack = (op.r, st[:p], stack)
+                stack = (op.r, p and st[:p], stack)
                 t = op.l
                 continue
             if c is wr or c is MRestore and wr is MUpdate:  # a write
@@ -150,7 +151,8 @@ def _run(t, st, xs, stack, plan, undo):
                 v = (v, s)
             return Leaf(v)
         t, saved, stack = stack
-        st[:p] = saved
+        if p:
+            st[:p] = saved
 
 
 def h_state(t, s):

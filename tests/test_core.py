@@ -1,19 +1,21 @@
-"""Effect-tree core: fold, bind, monad laws, signature permutations."""
+"""Effect-tree core: fold, bind, monad laws, constructors, show_tree."""
 
 import os
 import random
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, strategies as st
 
 from effsim.core import (
     Leaf, Node, Or, Fail, fold, bind, tree_map, seq,
-    get, put, fail, or_, choose, guard, side, ret, swap, rotate, show_tree,
+    get, put, fail, or_, choose, guard, side, ret, show_tree,
     mget, update, restore,
 )
 import effsim
 from effsim.handlers import h_nd
+from paper_forms import swap
 
 
 def tree_equal(a, b):
@@ -116,31 +118,6 @@ def test_constructors():
     assert h_nd(swap(side(ret(5)))) == []
 
 
-def test_swap_leaf_and_involution():
-    rng = random.Random(3)
-    assert tree_equal(swap(Leaf(5)), Leaf(5))
-    for _ in range(300):
-        t = random_nondet_tree(rng, 4)
-        assert tree_equal(swap(swap(t)), t)
-
-
-def test_swap_retags_put():
-    t = swap(put(9, at=0))
-    assert t.idx == 1
-
-
-def test_rotate_order_three():
-    # One single-op tree per family position in a 4-family signature.
-    samples = [put(1, at=0), fail(at=1), update(2, at=2), restore(3, at=3)]
-    expected = [2, 0, 1, 3]
-    for t, e in zip(samples, expected):
-        assert rotate(t).idx == e
-    rng = random.Random(4)
-    for _ in range(200):
-        t = random_nondet_tree(rng, 3)
-        assert tree_equal(rotate(rotate(rotate(t))), t)
-
-
 def test_show_tree_stable():
     assert show_tree(or_(ret(1), fail(), at=1)) == "or@1 (ret 1) (fail@1)"
     assert show_tree(put(3, at=0)) == "put@0 3; ret ()"
@@ -151,6 +128,18 @@ def test_show_tree_stable():
 def test_repr_is_show_tree():
     t = or_(ret(1), seq(put(3), fail()))
     assert repr(t) == "or@1 (ret 1) (put@0 3; fail@1)"
+
+
+def test_repr_of_leaf():
+    assert repr(Leaf(5)) == "ret 5"
+
+
+def test_show_tree_rejects_an_unknown_operation():
+    class Unknown:
+        pass
+    with pytest.raises(TypeError, match="unknown operation Unknown at "
+                                        "index 3"):
+        show_tree(Node(3, Unknown()))
 
 
 def test_repr_of_deep_tree_does_not_crash():

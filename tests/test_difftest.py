@@ -2,7 +2,7 @@
 
 import pytest
 
-from effsim import difftest, handlers
+from effsim import core, difftest, handlers
 from effsim.core import Leaf
 from effsim.difftest import (
     eval_expr, show_ast, gen_program, lower, oracle_eval,
@@ -13,6 +13,7 @@ from effsim.difftest import (
     MUTATIONS, check_mutation,
 )
 from effsim.handlers import h_nil, h_local, h_global, h_local_m, h_global_m
+from paper_forms import swap
 
 
 def test_eval_expr():
@@ -42,7 +43,6 @@ def test_lower_layouts_agree():
     for seed in range(30):
         ast = gen_program(seed, 5, ("state", "nondet"))
         sn = h_nil(h_local(lower(ast, SN), 0))
-        from effsim.core import swap
         ns = h_nil(h_local(swap(lower(ast, NS)), 0))
         assert sn == ns
 
@@ -267,3 +267,24 @@ def test_lemma_checks_record_failures(monkeypatch, lemma, name, broken,
     failures = check_lemma(lemma, 200, 42)["failures"]
     assert failures, lemma
     assert all(f["astText"].startswith(prefix) for f in failures), lemma
+
+
+def test_law_suite_records_failures(monkeypatch):
+    # With put writing one more than it is given, the state laws that read
+    # back a put break, and each failure is recorded under its law's name.
+    monkeypatch.setattr(difftest, "put",
+                        lambda s, at=0, k=Leaf(()): core.put(s + 1, at, k))
+    failures = check_laws("state", 200, 42)["failures"]
+    assert len(failures) == 227
+    assert all(f["astText"].startswith(("law=put-get;", "law=get-put;"))
+               for f in failures)
+
+
+def test_globalstate_records_a_missing_counterexample(monkeypatch):
+    # With hLocal replaced by hGlobal, put-or holds on both sides of the
+    # search, so the missing local counterexample is recorded as a failure.
+    monkeypatch.setattr(difftest, "h_local", difftest.h_global)
+    rep = check_laws("globalstate", 60, 42)
+    assert rep["counterexample"] is None
+    assert [f["astText"] for f in rep["failures"]] == [
+        "put-or-under-local counterexample search"]

@@ -4,8 +4,9 @@ are derived from.
 simulate and simulate_t run the paper's pipelines with the retagging folds
 fused into the translations, and the translations build their output with
 continuation-taking constructors instead of seq.  Every handler, single or
-composite, is a row of handlers.run_stack.  The paper's forms and the single
-handlers as separate loops are kept here as references, and each fused form
+composite, is a row of handlers.run_stack.  The paper's forms (with the
+swap and rotate retaggings of paper_forms) and the single handlers as
+separate loops are kept here as references, and each fused form
 must give the same answers, the same final states, the same resumptions of a
 forwarded continuation and the same stray-operation errors.
 """
@@ -16,19 +17,19 @@ import pytest
 
 from effsim.core import (
     Leaf, Node, Get, Put, Fail, Or, MGet, MUpdate, MRestore, get, put, fail,
-    or_, seq, side, mget, update, restore, fold, tree_map, swap, rotate,
-    show_tree,
+    or_, seq, side, mget, update, restore, fold, tree_map, show_tree,
 )
 from effsim.difftest import gen_program, lower
 from effsim.handlers import (
     Undo, INT_UNDO, h_state, h_modify, h_ndf, h_nil, h_local, h_global,
-    h_local_m, h_global_m, h_global_t, to_cells, from_cells,
+    h_local_m, h_global_m, h_global_t, run_stack, to_cells, from_cells,
 )
 from effsim.translations import (
     ChoiceState, MARKER, left, put_r, local2global, local2global_m,
     nondet2state, states2state, local2trail, push_stack, untrail,
     simulate, simulate_t,
 )
+from paper_forms import swap, rotate
 
 # Layouts for random programs: SN and MN, and each with a third state family
 # at index 2 (modify_as_state lowers mget/update to plain get/put there).
@@ -306,6 +307,9 @@ ROWS = {
                 lambda t, s: ref_state(ref_ndf(swap(t)), s)),
     "h_ndf-1": ((SN, SN3), lambda t, s: ref_state(h_ndf(t, 1), s),
                 lambda t, s: ref_state(ref_ndf(t, 1), s)),
+    "nondet-state": ((SN, SN3), lambda t, s: run_stack(
+        swap(t), (("nondet", 0), ("state", 1)), (s,)),
+        lambda t, s: ref_state(ref_ndf(swap(t)), s)),
     "local": ((SN, SN3), h_local,
               lambda t, s: tree_map(ref_ndf(ref_state(t, s)), _firsts)),
     "global": ((SN, SN3), h_global, lambda t, s: tree_map(
@@ -379,3 +383,30 @@ def test_stray_operation_raises_reference_message(name):
             assert outcome == _outcome(ref, t), (name, at, show_tree(t))
             errors += outcome[0] == "error"
         assert errors >= 3, (name, at)
+
+
+# Two state families, then nondeterminism: T-statesstate's stack, over
+# difftest's SS2 layout, which fits none of ROWS' layouts.
+SS2 = (("state", "modify", "nondet"),
+       {"state": 0, "modify_as_state": 1, "nondet": 2})
+
+
+def _states_row(t, s):
+    return run_stack(t, (("state", 0), ("state", 1), ("nondet", 2)),
+                     (s, s + 1))
+
+
+def _states_ref(t, s):
+    return ref_ndf(ref_state(ref_state(t, s), s + 1))
+
+
+def test_two_state_row_equals_nested_references():
+    t = seq(put(1, at=0), seq(put(2, at=1), Leaf("a")))
+    assert h_nil(_states_row(t, 0)) == [(("a", 1), 2)]
+    for t, s0 in _programs(*SS2, seed=9):
+        assert h_nil(_states_row(t, s0)) == h_nil(_states_ref(t, s0))
+    for at in (0, 1, 2):
+        for stray in STRAYS:
+            t = stray(at)
+            assert _outcome(_states_row, t) == _outcome(_states_ref, t), \
+                show_tree(t)

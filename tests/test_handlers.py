@@ -1,5 +1,6 @@
 """Handlers: DFS lists, state threading, local vs global semantics."""
 
+import ast
 import os
 import random
 import subprocess
@@ -17,7 +18,6 @@ from effsim.handlers import (
     Undo, INT_UNDO, h_nd, h_state, h_modify, h_ndf, h_nil,
     h_local, h_global, h_local_m, h_global_m, h_global_t,
 )
-from effsim.difftest import h_states
 from effsim.translations import local2global
 
 
@@ -190,11 +190,6 @@ def test_h_global_t_restores_like_local():
     assert h_nil(h_global_t(t, 0)) == [3, 1]
 
 
-def test_h_states_nesting():
-    t = seq(put(1, at=0), seq(put(2, at=1), ret("a")))
-    assert h_nil(h_states(t, 0, 0)) == (("a", 1), 2)
-
-
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
 def test_put_put_law_under_local(s0, a, b):
     lhs = seq(put(a), seq(put(b), get(ret)))
@@ -215,3 +210,29 @@ def test_side_has_effects_but_no_answers():
     t = or_(side(put(9)), get(ret))
     assert h_nil(h_global(t, 0)) == [9]
     assert h_nil(h_local(t, 0)) == [0]
+
+
+_HANDLER_NAMES = {"h_state", "h_modify", "h_ndf", "h_nd", "h_local",
+                  "h_global", "h_local_m", "h_global_m", "h_global_t"}
+
+
+def _called(node):
+    """The name a call node calls (a plain or an attribute name), else None."""
+    f = getattr(node, "func", None)
+    return getattr(f, "id", None) or getattr(f, "attr", None)
+
+
+def test_library_stacks_handlers_only_with_run_stack():
+    # A stack of handlers is one run_stack row, which builds no residual
+    # tree between its handlers, never one handler run on another's result.
+    src = os.path.dirname(effsim.__file__)
+    nested = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                tree = ast.parse(f.read(), name)
+            nested += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                       if isinstance(node, ast.Call)
+                       and _called(node) in _HANDLER_NAMES and node.args
+                       and _called(node.args[0]) in _HANDLER_NAMES]
+    assert nested == []

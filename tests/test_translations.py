@@ -3,7 +3,7 @@
 import random
 
 from effsim.core import (
-    Leaf, ret, get, put, fail, or_, choose, seq, mget, update, side, swap,
+    Leaf, ret, get, put, fail, or_, choose, seq, mget, update, side,
 )
 from effsim.handlers import (
     INT_UNDO, h_nd, h_state, h_ndf, h_nil, h_local, h_global, h_local_m,
@@ -16,6 +16,7 @@ from effsim.translations import (
     simulate_t,
 )
 from effsim.difftest import alpha
+from paper_forms import swap
 
 
 def random_local_program(rng, depth):
