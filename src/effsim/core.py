@@ -67,8 +67,13 @@ class Get:
         self.k = k
 
     def map_children(self, f):
-        k = self.k
-        return Get(lambda s: f(k(s)))
+        return Get(partial(_compose, f, self.k))
+
+
+def _compose(f, k, s):
+    """f after k: as partial(_compose, f, k), a mapped continuation is one
+    object, where a closure would also allocate a cell per capture."""
+    return f(k(s))
 
 
 class Put:
@@ -107,8 +112,7 @@ class MGet:
         self.k = k
 
     def map_children(self, f):
-        k = self.k
-        return MGet(lambda s: f(k(s)))
+        return MGet(partial(_compose, f, self.k))
 
 
 class MUpdate:
@@ -137,16 +141,23 @@ class MRestore:
 # Fold and bind.
 # ---------------------------------------------------------------------------
 
-def fold(gen, alg, t):
+def fold(gen, alg, t, rec=None):
     """The free monad's fold: Leaf x -> gen(x); Node -> alg(idx, mapped op).
 
     alg receives the operation with every child already folded (children
     behind Get/MGet continuations fold on demand when the continuation is
-    applied).
+    applied).  rec folds a child: built once per top-level call and passed
+    down, it calls fold by name, so a wrapper installed there sees each node.
     """
-    if isinstance(t, Leaf):
+    if t.__class__ is Leaf:
         return gen(t.value)
-    return alg(t.idx, t.op.map_children(lambda c: fold(gen, alg, c)))
+    return alg(t.idx, t.op.map_children(rec or _recursion(gen, alg)))
+
+
+def _recursion(gen, alg):
+    def rec(c):
+        return fold(gen, alg, c, rec)
+    return rec
 
 
 def bind(t, f):

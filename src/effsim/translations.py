@@ -12,16 +12,24 @@ plus the closed and forwarding runs `run_nd` and `run_ndf` of
 `nondet2state`, and the composed pipelines `simulate` (choicepoint-stack
 simulation of local state) and `simulate_t` (choicepoint + trail stacks).
 
-The choicepoint stack, the results and the trail are h_ndf's persistent
-cons cells ((head, tail), None for empty), so every push and pop is O(1) and
-never copies: a forwarded continuation may resume the same state again.
+The choicepoint stack, the results and the trail are persistent cons cells
+((head, tail), None for empty; see handlers.to_cells and from_cells), so
+every push and pop is O(1) and never copies: a forwarded continuation may
+resume the same state again.  Each Get continuation built here is a partial
+application of a private step function, not a closure, and the pop_s tree,
+which captures nothing, is built once per index and shared.
 """
 
+from functools import partial
+
 from .core import (
-    Leaf, Node, Get, Put, Fail, Or, MUpdate,
-    tree_map, get, put, fail, or_, update, restore, fold,
+    Leaf, Node, Get, Put, Fail, Or, MUpdate, MRestore,
+    tree_map, or_, update, restore, fold,
 )
 from .handlers import h_state, h_nil, run_stack, from_cells, INT_UNDO
+
+_FAIL = Node(1, Fail())  # the end of every restoring side branch
+_POP_S = {}  # at -> the one pop_s tree at that index
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +38,11 @@ from .handlers import h_state, h_nil, run_stack, from_cells, INT_UNDO
 
 def put_r(s, k=Leaf(())):
     """putR s >> k, where putR s = get >>= \\s' -> put s | side (put s')."""
-    return get(lambda s0: or_(put(s, k=k), put(s0, k=fail())))
+    return Node(0, Get(partial(_put_r, s, k)))
+
+
+def _put_r(s, k, s0):
+    return Node(1, Or(Node(0, Put(s, k)), Node(0, Put(s0, _FAIL))))
 
 
 def local2global(t):
@@ -66,24 +78,35 @@ class ChoiceState:
 
 def pop_s(at=0):
     """Run the next pending branch, or halt with unit on an empty stack."""
-    def k(cs):
-        if cs.stack is None:
-            return Leaf(())
-        q, stack = cs.stack
-        return put(ChoiceState(cs.results, stack), at, q)
-    return get(k, at)
+    t = _POP_S.get(at)
+    if t is None:
+        t = _POP_S[at] = Node(at, Get(partial(_pop_s, at)))
+    return t
+
+
+def _pop_s(at, cs):
+    if cs.stack is None:
+        return Leaf(())
+    q, stack = cs.stack
+    return Node(at, Put(ChoiceState(cs.results, stack), q))
 
 
 def push_s(q, p, at=0):
     """Save branch q as a choicepoint, then continue with p."""
-    return get(lambda cs: put(ChoiceState(cs.results, (q, cs.stack)), at, p),
-               at)
+    return Node(at, Get(partial(_push_s, q, p, at)))
+
+
+def _push_s(q, p, at, cs):
+    return Node(at, Put(ChoiceState(cs.results, (q, cs.stack)), p))
 
 
 def append_s(x, p, at=0):
     """Record result x as the newest, then continue with p."""
-    return get(lambda cs: put(ChoiceState((x, cs.results), cs.stack), at, p),
-               at)
+    return Node(at, Get(partial(_append_s, x, p, at)))
+
+
+def _append_s(x, p, at, cs):
+    return Node(at, Put(ChoiceState((x, cs.results), cs.stack), p))
 
 
 def nondet2state(t, at=0):
@@ -132,16 +155,25 @@ def states2state(t, at=0):
         if idx < at:
             return Node(idx, op)
         if isinstance(op, Get):
-            if idx == at:
-                return get(lambda s12: op.k(s12[0]), at)
-            return get(lambda s12: op.k(s12[1]), at)
+            return Node(at, Get(partial(_get, idx - at, op.k)))
         if isinstance(op, Put):
-            if idx == at:
-                return get(lambda s12: put((op.s, s12[1]), at, op.k), at)
-            return get(lambda s12: put((s12[0], op.s), at, op.k), at)
+            return Node(at, Get(partial(_put1 if idx == at else _put2,
+                                        op.s, op.k, at)))
         raise ValueError("states2state: non-state operation %s at index %d"
                          % (type(op).__name__, idx))
     return fold(Leaf, alg, t)
+
+
+def _get(i, k, s12):
+    return k(s12[i])
+
+
+def _put1(s, k, at, s12):
+    return Node(at, Put((s, s12[1]), k))
+
+
+def _put2(s, k, at, s12):
+    return Node(at, Put((s12[0], s), k))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +203,7 @@ def local2global_m(t):
     """Replace update r by (update r | side (restore r)); keep the rest."""
     def alg(idx, op):
         if idx == 0 and isinstance(op, MUpdate):
-            return or_(update(op.r, k=op.k), restore(op.r, k=fail()))
+            return or_(update(op.r, k=op.k), restore(op.r, k=_FAIL))
         return Node(idx, op)
     return fold(Leaf, alg, t)
 
@@ -193,21 +225,27 @@ _TRAIL = 2  # injection index of the trail-stack state family in the output
 
 def push_stack(x, k=Leaf(())):
     """Push x on the trail, then continue with k."""
-    return get(lambda st: put((x, st), _TRAIL, k), _TRAIL)
+    return Node(_TRAIL, Get(partial(_push_stack, x, k)))
+
+
+def _push_stack(x, k, st):
+    return Node(_TRAIL, Put((x, st), k))
 
 
 def untrail(k=Leaf(())):
     """Pop trail entries down to (and including) the first marker, restoring
     each recorded delta on the way, then continue with k; continue at once
     if the trail drains."""
-    def pop(st):
-        if st is None:
-            return k
-        x, st = st
-        if x == MARKER:
-            return put(st, _TRAIL, k)
-        return put(st, _TRAIL, restore(x[1], 0, untrail(k)))
-    return get(pop, _TRAIL)
+    return Node(_TRAIL, Get(partial(_untrail, k)))
+
+
+def _untrail(k, st):
+    if st is None:
+        return k
+    x, st = st
+    if x == MARKER:
+        return Node(_TRAIL, Put(st, k))
+    return Node(_TRAIL, Put(st, Node(0, MRestore(x[1], untrail(k)))))
 
 
 def local2trail(t):

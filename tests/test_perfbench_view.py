@@ -109,3 +109,41 @@ def test_tracer_counts_restored_and_mutation_rows():
     for key in ("translations.local2global", "translations.local2global_m",
                 "handlers.h_global"):
         assert calls.get(key, 0) > 0, key
+
+
+def test_tracer_counts_each_folded_node():
+    # Each fold call the tracer counts is one node visited, so a fold whose
+    # recursion stops passing through the module-level name core.fold
+    # changes these counts.
+    from effsim import handlers as H, translations as T
+    puts = core.put(1, 0, core.put(2, 0, core.put(3, 0, core.get(core.ret))))
+    updates = core.update(1, 0, core.update(2, 0, core.update(
+        3, 0, core.mget(core.ret))))
+    chain = core.get(core.ret)
+    for v in range(100, 0, -1):
+        chain = core.put(v, 0, chain)
+    l2g, n2s, s2s = ("%s.<locals>.alg" % f for f in
+                     ("local2global", "nondet2state", "states2state"))
+    l2t = "local2trail.<locals>.alg"
+    cases = (
+        (T.simulate, core.choose([1, 2, 3]), [1, 2, 3],
+         {l2g: 7, n2s: 7, s2s: 20, "Node": 1}),
+        (T.simulate_t, core.choose([1, 2, 3]), [1, 2, 3],
+         {l2t: 7, n2s: 19, s2s: 32, "Node": 1}),
+        (T.simulate, puts, [3], {l2g: 5, n2s: 17, s2s: 26, "Node": 1}),
+        (T.simulate_t, updates, [6], {l2t: 5, n2s: 11, s2s: 14, "Node": 1}))
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        for run, t, expected, folds in cases:
+            tracer.reset()
+            assert H.h_nil(run(t, 0)) == expected
+            assert dict(tracer.fold_algs) == folds, run.__name__
+        tracer.reset()
+        assert H.h_nil(T.simulate(chain, 0)) == [100]
+        nodes = tracer.counts["core.node"]
+    finally:
+        tracer.uninstall()
+    # 2109 once the shared pop_s tree at index 1 exists; a pass that builds
+    # it counts one more node.
+    assert nodes <= 2110, nodes

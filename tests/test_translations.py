@@ -237,3 +237,62 @@ def test_simulate_t_scales():
     assert out == [10_000]
     out = h_nil(simulate_t(choose(range(10_000)), 0))
     assert out == list(range(10_000))
+
+
+# Each Get continuation a translation builds is a step function partially
+# applied to what it captured; a handler may apply it more than once, and
+# each application must build the tree its own state calls for.
+
+def test_step_continuations_resume_with_each_state():
+    from effsim.core import show_tree
+
+    def both(t, s1, s2):
+        return show_tree(t.op.k(s1)), show_tree(t.op.k(s2))
+
+    assert both(put_r(5, ret("k")), 1, 2) == (
+        "or@1 (put@0 5; ret 'k') (put@0 1; fail@1)",
+        "or@1 (put@0 5; ret 'k') (put@0 2; fail@1)")
+    for at in (0, 1):  # the four states2state cases
+        assert both(states2state(get(ret, at=at)), (1, 2), (3, 4)) == (
+            "ret %d" % (1 + at), "ret %d" % (3 + at))
+        pair = ("(7, 2)", "(7, 4)") if at == 0 else ("(1, 7)", "(3, 7)")
+        assert both(states2state(put(7, at=at)), (1, 2), (3, 4)) == (
+            "put@0 %s; ret ()" % pair[0], "put@0 %s; ret ()" % pair[1])
+    assert both(push_stack("x", ret(0)), None, ("y", None)) == (
+        "put@2 ('x', None); ret 0", "put@2 ('x', ('y', None)); ret 0")
+    assert both(untrail(ret(0)), to_cells([left(1), MARKER]),
+                to_cells([MARKER, left(3)])) == (
+        "put@2 (('left', 1), None); ret 0",
+        "put@2 (('marker',), None); restore@0 3; get@2 <fun>")
+    assert untrail(ret(0)).op.k(None).value == 0
+
+    q1, q2 = ret("q1"), ret("q2")
+    cs1 = ChoiceState(to_cells([1]), to_cells([q1]))
+    cs2 = ChoiceState(to_cells([2, 3]), to_cells([q2, q1]))
+    for cs in (cs1, cs2):
+        new = push_s(q2, fail(), at=1).op.k(cs)
+        assert new.idx == 1 and new.op.s.stack == (q2, cs.stack)
+        assert new.op.s.results is cs.results
+        new = append_s(9, fail(), at=1).op.k(cs)
+        assert new.op.s.results == (9, cs.results)
+        assert new.op.s.stack is cs.stack
+        new = pop_s(1).op.k(cs)
+        assert new.op.k is cs.stack[0] and new.op.s.stack is cs.stack[1]
+        assert new.op.s.results is cs.results
+    assert pop_s(1).op.k(ChoiceState(None, None)).value == ()
+
+
+def test_pop_s_tree_is_shared_per_index():
+    assert pop_s(1) is pop_s(1) and pop_s() is pop_s(0)
+    cs = ChoiceState(None, to_cells([ret("q")]))
+    for i in (0, 1, 2):
+        assert pop_s(i).idx == i and pop_s(i).op.k(cs).idx == i
+
+
+def test_simulations_rerun_on_one_tree():
+    rng = random.Random(16)
+    for _ in range(50):
+        t = random_local_program(rng, 5)
+        assert h_nil(simulate(t, 1)) == h_nil(simulate(t, 1))
+        t = _random_modify_program(rng, 5)
+        assert h_nil(simulate_t(t, 1)) == h_nil(simulate_t(t, 1))
