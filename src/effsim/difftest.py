@@ -28,7 +28,7 @@ from .handlers import (
 from .translations import (
     local2global, nondet2state, run_nd, run_ndf, states2state,
     local2global_m, local2trail, untrail, push_stack, pop_s, push_s,
-    append_s, ChoiceState, MARKER, left,
+    append_s, MARKER,
 )
 from .queens import RUNNERS, q_plus, q_minus
 
@@ -512,8 +512,8 @@ def _drain(p, xs, st):
     """Run machine tree p to completion from the choicepoint state with
     results xs and stack st (lists, the top of st first); the final state
     has an empty stack, so its results fully describe the run."""
-    res = h_nil(h_state(p, ChoiceState(to_cells(xs), to_cells(st[::-1]))))
-    return from_cells(res[1].results)
+    res = h_nil(h_state(p, (to_cells(xs), to_cells(st[::-1]))))
+    return from_cells(res[1][0])
 
 
 def _check_pop_extract(report, ts, rng):
@@ -566,8 +566,7 @@ def _check_dist_bind(report, ts, rng):
 def _random_trail(rng):
     out = []
     for _ in range(rng.randint(0, 3)):
-        out.append(MARKER if rng.random() < 0.4
-                   else left(rng.randint(-3, 3)))
+        out.append(MARKER if rng.random() < 0.4 else rng.randint(-3, 3))
     return out
 
 
@@ -586,8 +585,7 @@ def _check_trail_tracks(report, ts, rng):
     (res1, sf1), tf1 = _trail_run(u, s0, [])
     (res2, sf2), tf2 = _trail_run(u, s0, t2)
     ok = (res1 == res2 and sf1 == sf2 and tf1 + t2 == tf2
-          and all(e[0] == "left" for e in tf1)
-          and sf1 == s0 + sum(e[1] for e in tf1))
+          and all(e is not MARKER for e in tf1) and sf1 == s0 + sum(tf1))
     if not ok:
         _record(report, ts, "trail-tracks; s0=%d; %s" % (s0, show_ast(ast)),
                 ((res1, sf1), tf1), ((res2, sf2), tf2))
@@ -595,11 +593,11 @@ def _check_trail_tracks(report, ts, rng):
 
 def _check_untrail_undos(report, ts, rng):
     s0 = rng.randint(-5, 5)
-    ys = [left(rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+    ys = [rng.randint(-3, 3) for _ in range(rng.randint(0, 4))]
     xs = _random_trail(rng)
     trail = ys + [MARKER] + xs
     (res, s_final), t_final = _trail_run(untrail(), s0, trail)
-    expect_s = s0 - sum(e[1] for e in ys)  # fminus: foldl minus
+    expect_s = s0 - sum(ys)  # fminus: foldl minus
     if not (res == [()] and s_final == expect_s and t_final == xs):
         _record(report, ts, "untrail-undos; s0=%d ys=%r xs=%r"
                 % (s0, ys, xs), ((res, s_final), t_final),
@@ -653,7 +651,7 @@ def _local2trail_untrailed_branch(t):
     def alg(idx, op):
         if idx == 0:
             if isinstance(op, MUpdate):
-                return push_stack(left(op.r), update(op.r, 0, op.k))
+                return push_stack(op.r, update(op.r, 0, op.k))
             return Node(0, op)
         if idx == 1:
             if isinstance(op, Or):

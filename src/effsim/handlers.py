@@ -168,7 +168,8 @@ def h_modify(t, s, undo=INT_UNDO):
 
 def h_ndf(t, at=0):
     """hND+f, the runND+f machine, on the NondetF family at index at (at 1 it
-    is hND+f . swap); leaves are DFS-ordered result lists."""
+    is hND+f . swap); leaves are DFS-ordered result lists.  The stray error
+    of every nondet frame, in any stack, names this handler (_FAMILIES)."""
     return run_stack(t, (("nondet", at),), ())
 
 

@@ -2,7 +2,8 @@
 
 simulate_f collapses the choicepoint-stack pipeline into one machine with a
 results list and a choicepoint stack; simulate_tf additionally keeps a trail
-stack of deltas and markers (the WAM stack/trail discipline).  Both run as
+(the WAM stack/trail discipline) that holds each applied delta as it is and
+translations.MARKER at each choicepoint, told apart by identity.  Both run as
 iterative loops over in-place stacks (Python lists, top at the end); the
 only recursion is the forwarding of residual operations, whose children
 resume the machine from copies of the stacks.
@@ -12,7 +13,7 @@ from .core import (
     Leaf, Node, Get, Put, Fail, Or, MGet, MUpdate, MRestore,
 )
 from .handlers import INT_UNDO
-from .translations import MARKER, left
+from .translations import MARKER
 
 
 def simulate_f(t, s, trace=None):
@@ -103,7 +104,7 @@ def simulate_tf(t, s, undo=INT_UNDO, trace=None):
                 if isinstance(op, MUpdate):
                     if trace is not None:
                         trace.append(("update", len(xs), len(cp), len(tr) + 1))
-                    tr.append(left(op.r))
+                    tr.append(op.r)
                     s = undo.plus(s, op.r)
                     t = op.k
                     continue
@@ -141,11 +142,11 @@ def simulate_tf(t, s, undo=INT_UNDO, trace=None):
                 if not cp:
                     return Leaf(xs)
                 t = cp.pop()
-                while tr and tr[-1] != MARKER:
+                while tr and tr[-1] is not MARKER:
                     if trace is not None:
                         trace.append(("untrail", len(xs), len(cp),
                                       len(tr) - 1))
-                    s = undo.minus(s, tr.pop()[1])
+                    s = undo.minus(s, tr.pop())
                 if tr:
                     tr.pop()  # the marker
     return run(t, [], [], [], s)

@@ -12,12 +12,16 @@ plus the closed and forwarding runs `run_nd` and `run_ndf` of
 `nondet2state`, and the composed pipelines `simulate` (choicepoint-stack
 simulation of local state) and `simulate_t` (choicepoint + trail stacks).
 
-The choicepoint stack, the results and the trail are persistent cons cells
-((head, tail), None for empty; see handlers.to_cells and from_cells), so
-every push and pop is O(1) and never copies: a forwarded continuation may
+nondet2state's state, the paper's S, is the pair (results, stack): the
+results found so far, the newest at the head, and the pending branches, the
+top at the head, started as (None, None).  The trail holds each applied
+delta as it is, and MARKER, which untrail recognises by identity, so a delta
+equal to it is still a delta.  Results, stack and trail are persistent cons
+cells ((head, tail), None for empty; see handlers.to_cells and from_cells),
+so every push and pop is O(1) and never copies: a forwarded continuation may
 resume the same state again.  Each Get continuation built here is a partial
-application of a private step function, not a closure, and the pop_s tree,
-which captures nothing, is built once per index and shared.
+application of a private step function, and the pop_s tree, which captures
+nothing, is built once per index and shared.
 """
 
 from functools import partial
@@ -58,22 +62,6 @@ def local2global(t):
 # Choicepoint state and the nondeterminism-as-state machine.
 # ---------------------------------------------------------------------------
 
-class ChoiceState:
-    """Results found so far plus a stack of pending branch computations.
-
-    Both are persistent cons cells: the stack holds machine trees, the top at
-    the head, and the results hold the newest at the head, so that they are
-    reversed once, by from_cells, when extracted.  Used both for the closed
-    machine (paper's S) and the forwarding machine (paper's SS).
-    """
-
-    __slots__ = ("results", "stack")
-
-    def __init__(self, results, stack):
-        self.results = results
-        self.stack = stack
-
-
 # pop_s, push_s and append_s act on the choicepoint state family at index at.
 
 def pop_s(at=0):
@@ -84,11 +72,12 @@ def pop_s(at=0):
     return t
 
 
-def _pop_s(at, cs):
-    if cs.stack is None:
+def _pop_s(at, s):
+    xs, stack = s
+    if stack is None:
         return Leaf(())
-    q, stack = cs.stack
-    return Node(at, Put(ChoiceState(cs.results, stack), q))
+    q, stack = stack
+    return Node(at, Put((xs, stack), q))
 
 
 def push_s(q, p, at=0):
@@ -96,8 +85,8 @@ def push_s(q, p, at=0):
     return Node(at, Get(partial(_push_s, q, p, at)))
 
 
-def _push_s(q, p, at, cs):
-    return Node(at, Put(ChoiceState(cs.results, (q, cs.stack)), p))
+def _push_s(q, p, at, s):
+    return Node(at, Put((s[0], (q, s[1])), p))
 
 
 def append_s(x, p, at=0):
@@ -105,13 +94,13 @@ def append_s(x, p, at=0):
     return Node(at, Get(partial(_append_s, x, p, at)))
 
 
-def _append_s(x, p, at, cs):
-    return Node(at, Put(ChoiceState((x, cs.results), cs.stack), p))
+def _append_s(x, p, at, s):
+    return Node(at, Put(((x, s[0]), s[1]), p))
 
 
 def nondet2state(t, at=0):
     """Forwarding simulation: the nondet family at index at becomes the
-    machine-state family StateF(ChoiceState) at the same index.
+    machine-state family StateF((results, stack)) at the same index.
 
     Every other operation keeps its injection index, so nondet2state at
     index 1 equals swap . nondet2state . swap.
@@ -136,8 +125,8 @@ def run_nd(t):
 
 def run_ndf(t):
     """runND+f = extractSS . hState . nondet2state; equals h_ndf."""
-    u = h_state(nondet2state(t), ChoiceState(None, None))
-    return tree_map(u, lambda pair: from_cells(pair[1].results))
+    u = h_state(nondet2state(t), (None, None))
+    return tree_map(u, lambda pair: from_cells(pair[1][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +180,8 @@ def simulate(t, s):
     (user state, choicepoints) instead of (choicepoints, user state).
     """
     m = states2state(nondet2state(local2global(t), at=1))
-    u = h_state(m, (s, ChoiceState(None, None)))
-    return tree_map(u, lambda pair: from_cells(pair[1][1].results))
+    u = h_state(m, (s, (None, None)))
+    return tree_map(u, lambda pair: from_cells(pair[1][1][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +201,7 @@ def local2global_m(t):
 # local2trail: trail-stack instrumentation.
 # ---------------------------------------------------------------------------
 
-MARKER = ("marker",)
-
-
-def left(r):
-    """A trail entry recording an applied delta."""
-    return ("left", r)
-
-
+MARKER = ("marker",)  # the one trail entry that is not a delta, told by `is`
 _TRAIL = 2  # injection index of the trail-stack state family in the output
 
 
@@ -243,9 +225,9 @@ def _untrail(k, st):
     if st is None:
         return k
     x, st = st
-    if x == MARKER:
+    if x is MARKER:
         return Node(_TRAIL, Put(st, k))
-    return Node(_TRAIL, Put(st, Node(0, MRestore(x[1], untrail(k)))))
+    return Node(_TRAIL, Put(st, Node(0, MRestore(x, untrail(k)))))
 
 
 def local2trail(t):
@@ -257,7 +239,7 @@ def local2trail(t):
     def alg(idx, op):
         if idx == 0:
             if isinstance(op, MUpdate):
-                return push_stack(left(op.r), update(op.r, 0, op.k))
+                return push_stack(op.r, update(op.r, 0, op.k))
             return Node(0, op)
         if idx == 1:
             if isinstance(op, Or):
@@ -287,5 +269,5 @@ def simulate_t(t, s, undo=INT_UNDO):
     u = nondet2state(u, at=1)            # [M, SS, Trail | rest]
     u = states2state(u, at=1)            # [M, (SS, Trail) | rest]
     v = run_stack(u, (("modify", 0), ("state", 1)),
-                  (s, (ChoiceState(None, None), None)), undo)
-    return tree_map(v, lambda pair: from_cells(pair[1][0].results))
+                  (s, ((None, None), None)), undo)
+    return tree_map(v, lambda pair: from_cells(pair[1][0][0]))

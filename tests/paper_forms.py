@@ -1,4 +1,4 @@
-"""The paper's signature permutations, which the library no longer runs.
+"""The paper's signature permutations swap and rotate, for the tests only.
 
 The translations act at any injection index and the handler stacks name the
 index each frame handles, so the paper's swap and rotate retaggings are only

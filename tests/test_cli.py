@@ -30,6 +30,20 @@ def test_queens_json(capsys):
                        "solutions": [[2, 4, 1, 3], [3, 1, 4, 2]]}
 
 
+# sha256 of the full `effsim queens --n 6 --output json` text, which every
+# pipeline must print byte for byte.
+QUEENS_6_DIGEST = \
+    "d6bb4e1b289a0d3f58b00f01a51731ef50576a010a231453b6223903b8d3ea92"
+
+
+@pytest.mark.parametrize("pipeline", list(PIPELINES))
+def test_queens_json_pinned(capsys, pipeline):
+    code, out = run(capsys, "queens", "--n", "6", "--pipeline", pipeline,
+                    "--output", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == QUEENS_6_DIGEST
+
+
 def test_queens_rejects_bad_n(capsys):
     with pytest.raises(SystemExit) as e:
         main(["queens", "--n", "0"])

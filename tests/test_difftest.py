@@ -3,9 +3,9 @@
 import pytest
 
 from effsim import core, difftest, handlers
-from effsim.core import Leaf
+from effsim.core import Leaf, show_tree
 from effsim.difftest import (
-    eval_expr, show_ast, gen_program, lower, oracle_eval,
+    eval_expr, show_expr, show_ast, gen_program, lower, oracle_eval,
     SN, NS, MN, SS2, _trial_seed,
     THEOREM_IDS, check_theorem,
     LAW_SUITES, check_laws,
@@ -22,6 +22,19 @@ def test_eval_expr():
     assert eval_expr(("var", "x"), env) == 4
     assert eval_expr(("add", ("var", "x"), ("const", 1)), env) == 5
     assert eval_expr(("sub", ("const", 1), ("var", "x")), env) == -3
+
+
+@pytest.mark.parametrize("run, text", [
+    (lambda: eval_expr(("mul",), {}), "bad expression ('mul',)"),
+    (lambda: show_expr(("mul",)), "bad expression ('mul',)"),
+    (lambda: show_ast(("loop",)), "bad ast ('loop',)"),
+    (lambda: lower(("loop",), SN), "bad ast ('loop',)"),
+    (lambda: oracle_eval(("loop",), 0, "local"), "bad ast ('loop',)"),
+], ids=["eval_expr", "show_expr", "show_ast", "lower", "oracle_eval"])
+def test_malformed_programs_raise(run, text):
+    with pytest.raises(ValueError) as info:
+        run()
+    assert str(info.value) == text
 
 
 def test_gen_program_deterministic():
@@ -171,6 +184,15 @@ def test_check_mutation_unknown():
     import pytest
     with pytest.raises(ValueError):
         check_mutation("nope", 0, 1)
+
+
+def test_untrailed_branch_mutant_forwards_like_local2trail():
+    # Outside the modify and nondet families the seeded bug changes
+    # nothing: an index-2 operation moves to index 3, past the trail.
+    from effsim.translations import local2trail
+    t = core.put(7, at=2)
+    assert show_tree(difftest._local2trail_untrailed_branch(t)) \
+        == show_tree(local2trail(t)) == "put@3 7; ret ()"
 
 
 # sha256 of json.dumps(report, sort_keys=True) at seed 42: theorems 40 trials

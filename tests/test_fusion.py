@@ -25,7 +25,7 @@ from effsim.handlers import (
     h_local_m, h_global_m, h_global_t, run_stack, to_cells, from_cells,
 )
 from effsim.translations import (
-    ChoiceState, MARKER, left, put_r, local2global, local2global_m,
+    MARKER, put_r, local2global, local2global_m,
     nondet2state, states2state, local2trail, push_stack, untrail,
     simulate, simulate_t,
 )
@@ -143,8 +143,8 @@ def simulate_paper_tree(t):
 def simulate_paper(t, s):
     """simulate = extract . hState . states2state . nondet2state . swap
                 . local2global."""
-    u = h_state(simulate_paper_tree(t), (ChoiceState(None, None), s))
-    return tree_map(u, lambda pair: from_cells(pair[1][0].results))
+    u = h_state(simulate_paper_tree(t), ((None, None), s))
+    return tree_map(u, lambda pair: from_cells(pair[1][0][0]))
 
 
 def simulate_t_paper_tree(t):
@@ -163,8 +163,8 @@ def simulate_t_paper(t, s):
     """simulateT = extractT . hState . fmap fst . flip runStateT s . hModify
                  . simulate_t_paper_tree."""
     w = tree_map(h_modify(simulate_t_paper_tree(t), s), lambda pair: pair[0])
-    v = h_state(w, (ChoiceState(None, None), None))
-    return tree_map(v, lambda pair: from_cells(pair[1][0].results))
+    v = h_state(w, ((None, None), None))
+    return tree_map(v, lambda pair: from_cells(pair[1][0][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +177,11 @@ def test_simulate_equals_paper_composition(layout):
     for t, s0 in _programs(*layout, seed=1):
         fused = states2state(nondet2state(local2global(t), at=1))
         (a, (s, cs)), s3 = _close(
-            h_state(fused, (s0, ChoiceState(None, None))), third)
+            h_state(fused, (s0, (None, None))), third)
         (pa, (pcs, ps)), ps3 = _close(
-            h_state(simulate_paper_tree(t), (ChoiceState(None, None), s0)),
+            h_state(simulate_paper_tree(t), ((None, None), s0)),
             third)
-        assert (a, s, cs.results, cs.stack, s3) \
-            == (pa, ps, pcs.results, pcs.stack, ps3)
+        assert (a, s, cs, s3) == (pa, ps, pcs, ps3)
         assert _close(simulate(t, s0), third) \
             == _close(simulate_paper(t, s0), third)
 
@@ -192,13 +191,12 @@ def test_simulate_t_equals_paper_composition(layout):
     third = len(layout[0]) == 3
     for t, s0 in _programs(*layout, seed=2):
         fused = states2state(nondet2state(local2trail(t), at=1), at=1)
-        init = (ChoiceState(None, None), None)
+        init = ((None, None), None)
         ((a, s), (cs, trail)), s3 = _close(
             h_state(h_modify(fused, s0), init), third)
         ((pa, ps), (pcs, ptrail)), ps3 = _close(
             h_state(h_modify(simulate_t_paper_tree(t), s0), init), third)
-        assert (a, s, cs.results, cs.stack, trail, s3) \
-            == (pa, ps, pcs.results, pcs.stack, ptrail, ps3)
+        assert (a, s, cs, trail, s3) == (pa, ps, pcs, ptrail, ps3)
         assert _close(simulate_t(t, s0), third) \
             == _close(simulate_t_paper(t, s0), third)
 
@@ -228,7 +226,7 @@ def test_op_constructors_equal_seq():
 
 
 def _random_trail(rng):
-    return [MARKER if rng.random() < 0.3 else left(rng.randint(-3, 3))
+    return [MARKER if rng.random() < 0.3 else rng.randint(-3, 3)
             for _ in range(rng.randint(0, 5))]
 
 
@@ -244,7 +242,7 @@ def test_trail_constructors_equal_seq():
     rng = random.Random(4)
     for k, s0 in _programs(*MN, seed=4, n=100, depth=3):
         trail = _random_trail(rng)
-        x = rng.choice([MARKER, left(rng.randint(-3, 3))])
+        x = rng.choice([MARKER, rng.randint(-3, 3)])
         assert _trail_run(push_stack(x, k), s0, trail) \
             == _trail_run(seq(push_stack(x), k), s0, trail)
         assert _trail_run(untrail(k), s0, trail) \
@@ -288,8 +286,8 @@ def _firsts(prs):
 
 def _simulate_t_ref(t, s):
     u = states2state(nondet2state(local2trail(t), at=1), at=1)
-    v = ref_state(ref_modify(u, s), (ChoiceState(None, None), None))
-    return tree_map(v, lambda pair: from_cells(pair[1][0].results))
+    v = ref_state(ref_modify(u, s), ((None, None), None))
+    return tree_map(v, lambda pair: from_cells(pair[1][0][0]))
 
 
 # name -> (layouts, row, nested reference), each side taking (t, s) and

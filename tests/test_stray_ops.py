@@ -48,6 +48,8 @@ from effsim.translations import (
     (lambda: h_nil(put(1, at=0)),
      "h_nil applied to an operation node (idx=0, op=Put): residual "
      "signature was expected to be empty"),
+    (lambda: h_nd(put(1, at=2)),
+     "h_nd: unexpected residual operation Put at index 2"),
 ])
 def test_stray_operation_messages(run, message):
     with pytest.raises(ValueError) as info:

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from effsim.core import (
     Leaf, ret, get, put, fail, or_, choose, seq, mget, update, side,
 )
@@ -10,9 +12,9 @@ from effsim.handlers import (
     to_cells, from_cells,
 )
 from effsim.translations import (
-    put_r, local2global, ChoiceState, pop_s, push_s, append_s,
+    put_r, local2global, pop_s, push_s, append_s,
     run_nd, nondet2state, run_ndf, states2state, simulate,
-    local2global_m, local2trail, MARKER, left, push_stack, untrail,
+    local2global_m, local2trail, MARKER, push_stack, untrail,
     simulate_t,
 )
 from effsim.difftest import alpha
@@ -61,14 +63,14 @@ def test_local2global_matches_local_on_random_programs():
 
 
 def test_pop_s_empty_halts():
-    res = h_nil(h_state(pop_s(), ChoiceState(None, None)))
+    res = h_nil(h_state(pop_s(), (None, None)))
     assert res[0] == ()
 
 
 def test_push_append_pop_roundtrip():
     t = push_s(append_s("b", pop_s()), append_s("a", pop_s()))
-    res = h_nil(h_state(t, ChoiceState(None, None)))
-    assert from_cells(res[1].results) == ["a", "b"]
+    res = h_nil(h_state(t, (None, None)))
+    assert from_cells(res[1][0]) == ["a", "b"]
 
 
 def test_run_nd_example():
@@ -139,13 +141,13 @@ def test_stack_primitives():
 def test_untrail_restores_through_marker():
     from effsim.core import fold, Leaf as L, Node
     from effsim.handlers import h_modify
-    trail = to_cells([left(9), MARKER, left(3), left(2)])  # top last
+    trail = to_cells([9, MARKER, 3, 2])  # top last
     # untrail emits restores at 0 and trail-stack ops at 2; retag the stack
     # family to 1 so both handlers sit at the front in turn.
     t = fold(L, lambda i, op: Node(1 if i == 2 else i, op), untrail())
     inner = h_modify(t, 10)  # restores handled; stack ops now at 0
     res = h_nil(h_state(inner, trail))
-    assert res == (((), 5), to_cells([left(9)]))
+    assert res == (((), 5), to_cells([9]))
 
 
 # The stacks are persistent cons cells: a push conses one cell onto the old
@@ -153,17 +155,17 @@ def test_untrail_restores_through_marker():
 # so that neither copies.  get(Leaf) returns the state it reads.
 
 def test_choicepoint_stack_ops_share_the_old_cells():
-    cs = ChoiceState(to_cells([1, 2]), to_cells([ret(4), ret(3)]))
+    cs = (to_cells([1, 2]), to_cells([ret(4), ret(3)]))
     q = ret(5)
     new = h_nil(h_state(push_s(q, get(Leaf)), cs))[0]
-    assert new.stack[0] is q and new.stack[1] is cs.stack
-    assert new.results is cs.results
+    assert new[1][0] is q and new[1][1] is cs[1]
+    assert new[0] is cs[0]
     new = h_nil(h_state(append_s(7, get(Leaf)), cs))[0]
-    assert new.results == (7, cs.results) and new.results[1] is cs.results
-    assert new.stack is cs.stack
-    cs = ChoiceState(cs.results, to_cells([ret(3), get(Leaf)]))
+    assert new[0] == (7, cs[0]) and new[0][1] is cs[0]
+    assert new[1] is cs[1]
+    cs = (cs[0], to_cells([ret(3), get(Leaf)]))
     new = h_nil(h_state(pop_s(), cs))[0]
-    assert new.stack is cs.stack[1] and new.results is cs.results
+    assert new[1] is cs[1][1] and new[0] is cs[0]
 
 
 def test_trail_ops_share_the_old_cells():
@@ -174,14 +176,29 @@ def test_trail_ops_share_the_old_cells():
         # Move the trail family from its pipeline position 2 to index at.
         return fold(Leaf, lambda i, op: Node(at if i == 2 else i, op), t)
 
-    trail = to_cells([left(5), MARKER, left(2)])  # top last
+    trail = to_cells([5, MARKER, 2])  # top last
     new = h_nil(h_state(retag(push_stack(MARKER, get(Leaf, at=2)), 0),
                         trail))[0]
     assert new == (MARKER, trail) and new[1] is trail
-    # untrail restores left(2) at index 0 and pops through the marker.
+    # untrail restores the delta 2 at index 0 and pops through the marker.
     t = retag(untrail(get(Leaf, at=2)), 1)
     (seen, s), final = h_nil(h_state(h_modify(t, 10), trail))
     assert s == 8 and final is trail[1][1] and seen is final
+
+
+@pytest.mark.parametrize("pipeline", ["globalT", "simT", "fusedTF"])
+def test_trail_tells_marker_by_identity(pipeline):
+    # A delta equal to MARKER is still a delta: the trail pipelines undo it
+    # on backtracking, as local state discards it.
+    from effsim.handlers import Undo
+    from effsim.queens import RUNNERS
+    delta = tuple(["marker"])
+    assert delta == MARKER and delta is not MARKER
+    undo = Undo(lambda s, r: s + (r,), lambda s, r: s[:-1])
+    t = or_(update(delta, k=fail()), mget(ret))
+    expected = RUNNERS["localM"](t, (), undo)
+    assert expected == [()]
+    assert RUNNERS[pipeline](t, (), undo) == expected
 
 
 def test_local2trail_matches_local():
@@ -260,31 +277,31 @@ def test_step_continuations_resume_with_each_state():
             "put@0 %s; ret ()" % pair[0], "put@0 %s; ret ()" % pair[1])
     assert both(push_stack("x", ret(0)), None, ("y", None)) == (
         "put@2 ('x', None); ret 0", "put@2 ('x', ('y', None)); ret 0")
-    assert both(untrail(ret(0)), to_cells([left(1), MARKER]),
-                to_cells([MARKER, left(3)])) == (
-        "put@2 (('left', 1), None); ret 0",
+    assert both(untrail(ret(0)), to_cells([1, MARKER]),
+                to_cells([MARKER, 3])) == (
+        "put@2 (1, None); ret 0",
         "put@2 (('marker',), None); restore@0 3; get@2 <fun>")
     assert untrail(ret(0)).op.k(None).value == 0
 
     q1, q2 = ret("q1"), ret("q2")
-    cs1 = ChoiceState(to_cells([1]), to_cells([q1]))
-    cs2 = ChoiceState(to_cells([2, 3]), to_cells([q2, q1]))
+    cs1 = (to_cells([1]), to_cells([q1]))
+    cs2 = (to_cells([2, 3]), to_cells([q2, q1]))
     for cs in (cs1, cs2):
         new = push_s(q2, fail(), at=1).op.k(cs)
-        assert new.idx == 1 and new.op.s.stack == (q2, cs.stack)
-        assert new.op.s.results is cs.results
+        assert new.idx == 1 and new.op.s[1] == (q2, cs[1])
+        assert new.op.s[0] is cs[0]
         new = append_s(9, fail(), at=1).op.k(cs)
-        assert new.op.s.results == (9, cs.results)
-        assert new.op.s.stack is cs.stack
+        assert new.op.s[0] == (9, cs[0])
+        assert new.op.s[1] is cs[1]
         new = pop_s(1).op.k(cs)
-        assert new.op.k is cs.stack[0] and new.op.s.stack is cs.stack[1]
-        assert new.op.s.results is cs.results
-    assert pop_s(1).op.k(ChoiceState(None, None)).value == ()
+        assert new.op.k is cs[1][0] and new.op.s[1] is cs[1][1]
+        assert new.op.s[0] is cs[0]
+    assert pop_s(1).op.k((None, None)).value == ()
 
 
 def test_pop_s_tree_is_shared_per_index():
     assert pop_s(1) is pop_s(1) and pop_s() is pop_s(0)
-    cs = ChoiceState(None, to_cells([ret("q")]))
+    cs = (None, to_cells([ret("q")]))
     for i in (0, 1, 2):
         assert pop_s(i).idx == i and pop_s(i).op.k(cs).idx == i
 
