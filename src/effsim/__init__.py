@@ -5,8 +5,8 @@ properties."""
 
 import sys as _sys
 
-# The translation folds, show_tree and run_stack's residual forwarding
-# recurse over tree structure; deep programs need more than the default limit.
+# The translation folds and run_stack's residual forwarding recurse over
+# tree structure; deep programs need more than the default limit.
 if _sys.getrecursionlimit() < 100_000:
     _sys.setrecursionlimit(100_000)
 

@@ -300,23 +300,38 @@ def side(m, at=1):
 # ---------------------------------------------------------------------------
 
 def show_tree(t):
-    if isinstance(t, Leaf):
-        return "ret %r" % (t.value,)
-    op = t.op
-    tag = "%d" % t.idx
-    if isinstance(op, Get):
-        return "get@%s <fun>" % tag
-    if isinstance(op, Put):
-        return "put@%s %r; %s" % (tag, op.s, show_tree(op.k))
-    if isinstance(op, Fail):
-        return "fail@%s" % tag
-    if isinstance(op, Or):
-        return "or@%s (%s) (%s)" % (tag, show_tree(op.l), show_tree(op.r))
-    if isinstance(op, MGet):
-        return "mget@%s <fun>" % tag
-    if isinstance(op, MUpdate):
-        return "update@%s %r; %s" % (tag, op.r, show_tree(op.k))
-    if isinstance(op, MRestore):
-        return "restore@%s %r; %s" % (tag, op.r, show_tree(op.k))
-    raise TypeError("unknown operation %s at index %s"
-                    % (type(op).__name__, tag))
+    """t's text form.  A loop over a stack of the subtrees still to print
+    and the text between them, so a tree of any depth prints."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is str:
+            out.append(t)
+            continue
+        if isinstance(t, Leaf):
+            out.append("ret %r" % (t.value,))
+            continue
+        op = t.op
+        tag = "%d" % t.idx
+        if isinstance(op, Get):
+            out.append("get@%s <fun>" % tag)
+        elif isinstance(op, Put):
+            out.append("put@%s %r; " % (tag, op.s))
+            todo.append(op.k)
+        elif isinstance(op, Fail):
+            out.append("fail@%s" % tag)
+        elif isinstance(op, Or):
+            out.append("or@%s (" % tag)
+            todo += (")", op.r, ") (", op.l)
+        elif isinstance(op, MGet):
+            out.append("mget@%s <fun>" % tag)
+        elif isinstance(op, MUpdate):
+            out.append("update@%s %r; " % (tag, op.r))
+            todo.append(op.k)
+        elif isinstance(op, MRestore):
+            out.append("restore@%s %r; " % (tag, op.r))
+            todo.append(op.k)
+        else:
+            raise TypeError("unknown operation %s at index %s"
+                            % (type(op).__name__, tag))
+    return "".join(out)

@@ -9,8 +9,14 @@ Five translations:
     local2trail     Update/Or instrumented with a trail    [ModifyF,NondetF|r]
 
 plus the closed and forwarding runs `run_nd` and `run_ndf` of
-`nondet2state`, and the composed pipelines `simulate` (choicepoint-stack
-simulation of local state) and `simulate_t` (choicepoint + trail stacks).
+`nondet2state`, and the pipelines `simulate` (choicepoint-stack simulation
+of local state) and `simulate_t` (choicepoint + trail stacks).  Each runs
+its three translations as one fold, simulate_tree or simulate_t_tree, that
+sends every operation straight to its composite image (fold fusion:
+Meijer, Fokkinga & Paterson 1991; Wu & Schrijvers, Fusion for Free, 2015);
+the staged compositions are test references.  A tree with stray operations
+of both families reports the one the fold meets first, where the staged
+folds always reported the nondet one.
 
 nondet2state's state, the paper's S, is the pair (results, stack): the
 results found so far, the newest at the head, and the pending branches, the
@@ -20,8 +26,8 @@ equal to it is still a delta.  Results, stack and trail are persistent cons
 cells ((head, tail), None for empty; see handlers.to_cells and from_cells),
 so every push and pop is O(1) and never copies: a forwarded continuation may
 resume the same state again.  Each Get continuation built here is a partial
-application of a private step function, and the pop_s tree, which captures
-nothing, is built once per index and shared.
+application of a private step function, and the pop trees, which capture
+nothing, are built once per index and shared.
 """
 
 from functools import partial
@@ -166,22 +172,143 @@ def _put2(s, k, at, s12):
 
 
 # ---------------------------------------------------------------------------
-# simulate: local state via one combined choicepoint-and-user state.
+# simulate and simulate_t: each pipeline's translations fused into one fold.
 # ---------------------------------------------------------------------------
 
 def simulate(t, s):
     """simulate = extract . hState . states2state . nondet2state . swap
-                . local2global; equals h_local.
+                . local2global; equals h_local.  Runs simulate_tree."""
+    u = h_state(simulate_tree(t), ((None, None), s))
+    return tree_map(u, lambda pair: from_cells(pair[1][0][0]))
 
-    Run fused as states2state . nondet2state_1 . local2global, where
-    nondet2state_1 (nondet2state at index 1) is swap . nondet2state . swap:
-    nondet2state keeps every other index, so the swap pair around it only
-    moves its family to index 1 and back.  The pair state is then
-    (user state, choicepoints) instead of (choicepoints, user state).
+
+def simulate_tree(t):
+    """states2state . nondet2state . swap . local2global as one fold, from
+    [StateF, NondetF|rest] to [StateF(p)|rest], p = ((xs, stack), u).  By
+    fold fusion each case goes to its composite image, with consecutive
+    reads of p merged; the stack holds images, so no branch is translated
+    twice:
+
+        Leaf x       get p; put (((x, xs), stack), u); POP
+        Fail@1       POP = get p; ret () if the stack is empty, else
+                     put ((xs, rest), u); q, for the stack (q, rest)
+        Or l r@1     get p; put ((xs, (r, stack)), u); l
+        Get k@0      get p; k u
+        Put s k@0    get p; put ((xs, (R u, stack)), s); k,
+                     with R u = get p; put (p[0], u); POP
+        op@i, i > 1  op@(i - 1)
     """
-    m = states2state(nondet2state(local2global(t), at=1))
-    u = h_state(m, (s, (None, None)))
-    return tree_map(u, lambda pair: from_cells(pair[1][1][0]))
+    return fold(partial(_leaf, 0), _sim_alg, t)
+
+
+def _sim_alg(idx, op):
+    if idx == 0:
+        if isinstance(op, Get):
+            return Node(0, Get(partial(_get, 1, op.k)))
+        if isinstance(op, Put):
+            return Node(0, Get(partial(_sim_put, op.s, op.k)))
+        raise ValueError("states2state: non-state operation %s at index 0"
+                         % type(op).__name__)
+    if idx > 1:
+        return Node(idx - 1, op)
+    if isinstance(op, Fail):
+        return _POP[0]
+    if isinstance(op, Or):
+        return Node(0, Get(partial(_push, 0, op.r, op.l)))
+    raise ValueError("nondet2state: non-nondet operation %s at index 1"
+                     % type(op).__name__)
+
+
+def _sim_put(s, k, p):
+    restore_u = Node(0, Get(partial(_put2, p[1], _POP[0], 0)))
+    return _push(0, restore_u, k, (p[0], s))
+
+
+def simulate_t(t, s, undo=INT_UNDO):
+    """simulateT = extractT . hState . fmap fst . flip runStateT s . hModify
+                 . swap . states2state . rotate . swap . nondet2state . swap
+                 . local2trail; equals h_local_m.  Runs simulate_t_tree,
+    without the fmap fst: extractT reads the choicepoints all the same."""
+    v = run_stack(simulate_t_tree(t), (("modify", 0), ("state", 1)),
+                  (s, ((None, None), None)), undo)
+    return tree_map(v, lambda pair: from_cells(pair[1][0][0]))
+
+
+def simulate_t_tree(t):
+    """swap . states2state . rotate . swap . nondet2state . swap .
+    local2trail as one fold, fused as simulate_tree is (the swaps and rotate
+    only move families), from [ModifyF, NondetF|rest] to [ModifyF,
+    StateF(p)|rest], p = ((xs, stack), trail):
+
+        Leaf x, Fail@1  as in simulate_tree, with trail for u
+        Or l r@1        get p; put ((xs, (U r, stack)), (MARKER, trail)); l
+        MUpdate r k@0   get p; put ((xs, stack), (r, trail)); update r; k
+        op@i            op@i, for every other operation
+
+    where U r = get p; then put (p[0], rest); restore x; U r for the trail
+    (x, rest), put (p[0], rest); r for (MARKER, rest), or r if it is empty.
+    """
+    return fold(partial(_leaf, 1), _sim_t_alg, t)
+
+
+def _sim_t_alg(idx, op):
+    if idx == 1:
+        if isinstance(op, Fail):
+            return _POP[1]
+        if isinstance(op, Or):
+            return Node(1, Get(partial(_sim_t_push, op.r, op.l)))
+        raise ValueError("nondet2state: non-nondet operation %s at index 1"
+                         % type(op).__name__)
+    if idx == 0 and isinstance(op, MUpdate):
+        return Node(1, Get(partial(_sim_t_log, op.r, op.k)))
+    return Node(idx, op)
+
+
+def _sim_t_push(r, l, p):
+    untrail_r = Node(1, Get(partial(_sim_t_untrail, r)))
+    return _push(1, untrail_r, l, (p[0], (MARKER, p[1])))
+
+
+def _sim_t_log(r, k, p):
+    return Node(1, Put((p[0], (r, p[1])), Node(0, MUpdate(r, k))))
+
+
+def _sim_t_untrail(k, p):
+    ss, trail = p
+    if trail is None:
+        return k
+    x, trail = trail
+    if x is MARKER:
+        return Node(1, Put((ss, trail), k))
+    return Node(1, Put((ss, trail), Node(0, MRestore(
+        x, Node(1, Get(partial(_sim_t_untrail, k)))))))
+
+
+# The choicepoint steps of both folds, on p = ((xs, stack), other) at index
+# at, other being the user state or the trail.
+
+def _leaf(at, x):
+    return Node(at, Get(partial(_append, at, x)))
+
+
+def _append(at, x, p):
+    (xs, stack), other = p
+    return Node(at, Put((((x, xs), stack), other), _POP[at]))
+
+
+def _push(at, r, l, p):
+    (xs, stack), other = p
+    return Node(at, Put(((xs, (r, stack)), other), l))
+
+
+def _pop(at, p):
+    (xs, stack), other = p
+    if stack is None:
+        return Leaf(())
+    return Node(at, Put(((xs, stack[1]), other), stack[0]))
+
+
+_POP = (Node(0, Get(partial(_pop, 0))), Node(1, Get(partial(_pop, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -247,27 +374,3 @@ def local2trail(t):
             return Node(1, op)
         return Node(idx + 1, op)
     return fold(Leaf, alg, t)
-
-
-# ---------------------------------------------------------------------------
-# simulate_t: everything at once (choicepoint + trail + user state merged).
-# ---------------------------------------------------------------------------
-
-def simulate_t(t, s, undo=INT_UNDO):
-    """simulateT = extractT . hState . fmap fst . flip runStateT s . hModify
-                 . swap . states2state . rotate . swap . nondet2state . swap
-                 . local2trail; equals h_local_m.
-
-    Run fused in three folds as states2state_1 . nondet2state_1 .
-    local2trail, the _1 forms acting at index 1.  swap . nondet2state . swap
-    is nondet2state_1, because nondet2state keeps every other index; and
-    swap . states2state . rotate, which brings SS and Trail to the front,
-    merges them and moves M back, is states2state_1 on [M, SS, Trail | rest].
-    The fmap fst is dropped: extractT reads the choicepoints all the same.
-    """
-    u = local2trail(t)                   # [M, N, Trail | rest]
-    u = nondet2state(u, at=1)            # [M, SS, Trail | rest]
-    u = states2state(u, at=1)            # [M, (SS, Trail) | rest]
-    v = run_stack(u, (("modify", 0), ("state", 1)),
-                  (s, ((None, None), None)), undo)
-    return tree_map(v, lambda pair: from_cells(pair[1][0][0]))

@@ -154,3 +154,17 @@ def test_repr_of_deep_tree_does_not_crash():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True 368896\n"
+
+
+def test_repr_of_deep_tree_under_default_recursion_limit():
+    # show_tree is a loop, so it needs no raised recursion limit.
+    code = ("import sys\n"
+            "from effsim.core import choose\n"
+            "sys.setrecursionlimit(1000)\n"
+            "print(len(repr(choose(range(20000), at=1))))\n")
+    src = os.path.dirname(os.path.dirname(effsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "368896\n"

@@ -1,9 +1,11 @@
 """The fused translations and handler stacks against the compositions they
 are derived from.
 
-simulate and simulate_t run the paper's pipelines with the retagging folds
-fused into the translations, and the translations build their output with
-continuation-taking constructors instead of seq.  Every handler, single or
+simulate and simulate_t run the paper's pipelines as one fold each,
+simulate_tree and simulate_t_tree.  The staged translations, with the
+retagging folds fused into them, stay as a second reference beside the
+paper's trees; they build their output with continuation-taking
+constructors instead of seq.  Every handler, single or
 composite, is a row of handlers.run_stack.  The paper's forms (with the
 swap and rotate retaggings of paper_forms) and the single handlers as
 separate loops are kept here as references, and each fused form
@@ -12,9 +14,11 @@ forwarded continuation and the same stray-operation errors.
 """
 
 import random
+from functools import partial
 
 import pytest
 
+from effsim import difftest, translations
 from effsim.core import (
     Leaf, Node, Get, Put, Fail, Or, MGet, MUpdate, MRestore, get, put, fail,
     or_, seq, side, mget, update, restore, fold, tree_map, show_tree,
@@ -27,7 +31,7 @@ from effsim.handlers import (
 from effsim.translations import (
     MARKER, put_r, local2global, local2global_m,
     nondet2state, states2state, local2trail, push_stack, untrail,
-    simulate, simulate_t,
+    simulate, simulate_t, simulate_tree, simulate_t_tree,
 )
 from paper_forms import swap, rotate
 
@@ -182,6 +186,10 @@ def test_simulate_equals_paper_composition(layout):
             h_state(simulate_paper_tree(t), ((None, None), s0)),
             third)
         assert (a, s, cs, s3) == (pa, ps, pcs, ps3)
+        # The third side, simulate's one fold, keeps the paper's pair order.
+        (a, (cs, s)), s3 = _close(
+            h_state(simulate_tree(t), ((None, None), s0)), third)
+        assert (a, s, cs, s3) == (pa, ps, pcs, ps3)
         assert _close(simulate(t, s0), third) \
             == _close(simulate_paper(t, s0), third)
 
@@ -197,8 +205,33 @@ def test_simulate_t_equals_paper_composition(layout):
         ((pa, ps), (pcs, ptrail)), ps3 = _close(
             h_state(h_modify(simulate_t_paper_tree(t), s0), init), third)
         assert (a, s, cs, trail, s3) == (pa, ps, pcs, ptrail, ps3)
+        # The third side, simulate_t's one fold.
+        ((a, s), (cs, trail)), s3 = _close(
+            h_state(h_modify(simulate_t_tree(t), s0), init), third)
+        assert (a, s, cs, trail, s3) == (pa, ps, pcs, ptrail, ps3)
         assert _close(simulate_t(t, s0), third) \
             == _close(simulate_t_paper(t, s0), third)
+
+
+def _sim_put_saving_new(s, k, p):
+    """simulate_tree's Put step with a seeded bug: the restoring branch
+    saves the new state s instead of the old state p[1]."""
+    T = translations
+    restore_s = Node(0, Get(partial(T._put2, s, T._POP[0], 0)))
+    return T._push(0, restore_s, k, (p[0], s))
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+def test_t_simulate_row_catches_a_fused_put_bug(monkeypatch, seed):
+    row = difftest._agree(*difftest.THEOREMS["T-simulate"], 6)
+    monkeypatch.setattr(translations, "_sim_put", _sim_put_saving_new)
+    report = difftest._trials("T-simulate", row, 1000, seed, first=True)
+    assert "firstFailingTrial" in report
+    monkeypatch.undo()
+    # Unbroken, the same trials agree.
+    trials = report["firstFailingTrial"] + 1
+    assert difftest._trials("T-simulate", row, trials, seed)["failures"] \
+        == []
 
 
 @pytest.mark.parametrize("layout, handler",

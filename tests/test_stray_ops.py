@@ -50,6 +50,26 @@ from effsim.translations import (
      "signature was expected to be empty"),
     (lambda: h_nd(put(1, at=2)),
      "h_nd: unexpected residual operation Put at index 2"),
+    # The simulations name the translation whose family the stray operation
+    # sits in, whether it is met at once or behind a continuation.
+    pytest.param(lambda: simulate(mget(Leaf), 0),
+                 "states2state: non-state operation MGet at index 0",
+                 id="simulate-MGet@0"),
+    pytest.param(lambda: simulate(put(1, at=1), 0),
+                 "nondet2state: non-nondet operation Put at index 1",
+                 id="simulate-Put@1"),
+    pytest.param(lambda: h_nil(simulate(get(lambda s: put(1, at=1)), 0)),
+                 "nondet2state: non-nondet operation Put at index 1",
+                 id="simulate-get-Put@1"),
+    pytest.param(lambda: h_nil(simulate_t(get(Leaf), 0)),
+                 "h_modify: non-modify operation Get at index 0",
+                 id="simulate_t-Get@0"),
+    pytest.param(lambda: simulate_t(put(1, at=1), 0),
+                 "nondet2state: non-nondet operation Put at index 1",
+                 id="simulate_t-Put@1"),
+    pytest.param(lambda: h_nil(simulate_t(mget(lambda s: put(1, at=1)), 0)),
+                 "nondet2state: non-nondet operation Put at index 1",
+                 id="simulate_t-mget-Put@1"),
 ])
 def test_stray_operation_messages(run, message):
     with pytest.raises(ValueError) as info:
