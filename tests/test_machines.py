@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from effsim.core import (
     Leaf, ret, get, put, fail, or_, choose, seq, mget, update, restore,
 )
@@ -150,3 +152,72 @@ def test_restore_breaks_the_trail_theorems():
     for run in (simulate_tf, simulate_t, h_global_t):
         assert h_nil(run(t, 0)) == [3, -2], run.__name__
     assert h_nil(h_local_m(t, 0)) == [3, 0]
+
+
+# Full step records, pinned: every record's op and each stack depth in it.
+
+def test_simulate_tf_trace_untrail_records():
+    trace = []
+    t = or_(seq(update(4, at=0), mget(ret)), mget(ret))
+    assert h_nil(simulate_tf(t, 10, trace=trace)) == [14, 10]
+    assert trace == [("or", 0, 1, 1), ("update", 0, 1, 2), ("mget", 0, 1, 2),
+                     ("ret", 1, 1, 2), ("untrail", 1, 0, 1),
+                     ("mget", 1, 0, 0), ("ret", 2, 0, 0)]
+
+
+def _forwarding_program(put0, get0):
+    """(put0 5; get0 x; get2 y; ret (x, y)) | get0 ret, with get2 forwarded."""
+    return or_(seq(put0(5), get0(lambda x: get(lambda y: ret((x, y)), at=2))),
+               get0(ret))
+
+
+FORWARD_RECORDS = {
+    "simulate_f": (
+        [("or", 0, 1), ("put", 0, 2), ("get", 0, 2)],
+        [("ret", 1, 2), ("get", 1, 0), ("ret", 2, 0)]),
+    "simulate_tf": (
+        [("or", 0, 1, 1), ("update", 0, 1, 2), ("mget", 0, 1, 2)],
+        [("ret", 1, 1, 2), ("untrail", 1, 0, 1), ("mget", 1, 0, 0),
+         ("ret", 2, 0, 0)]),
+}
+
+
+@pytest.mark.parametrize("machine, put0, get0", [
+    (simulate_f, put, get), (simulate_tf, update, mget)],
+    ids=["simulate_f", "simulate_tf"])
+def test_trace_records_of_forwarded_resumptions(machine, put0, get0):
+    trace = []
+    r = machine(_forwarding_program(put0, get0), 0, trace=trace)
+    before, resumed = FORWARD_RECORDS[machine.__name__]
+    assert r.idx == 0 and trace == before
+    for n, s in enumerate((1, 2, 1), 1):
+        assert h_nil(r.op.k(s)) == [(5, s), 0]
+        assert trace == before + resumed * n
+
+
+STRAY_RECORDS = {
+    "simulate_f": [("put", 0, 1), ("or", 0, 2), ("get", 0, 2),
+                   ("ret", 1, 2), ("put", 1, 2)],
+    "simulate_tf": [("update", 0, 0, 1), ("or", 0, 1, 2), ("mget", 0, 1, 2),
+                    ("ret", 1, 1, 2), ("update", 1, 0, 2)],
+}
+
+
+@pytest.mark.parametrize("machine, put0, get0, stray, at, message", [
+    (simulate_f, put, get, update, 0,
+     "simulate_f: non-state operation MUpdate at index 0"),
+    (simulate_f, put, get, update, 1,
+     "simulate_f: non-nondet operation MUpdate at index 1"),
+    (simulate_tf, update, mget, put, 0,
+     "simulate_tf: non-modify operation Put at index 0"),
+    (simulate_tf, update, mget, put, 1,
+     "simulate_tf: non-nondet operation Put at index 1"),
+], ids=["simulate_f@0", "simulate_f@1", "simulate_tf@0", "simulate_tf@1"])
+def test_trace_records_before_a_stray_operation(machine, put0, get0, stray,
+                                                at, message):
+    t = seq(put0(3), or_(get0(ret), seq(put0(2), stray(1, at=at))))
+    trace = []
+    with pytest.raises(ValueError) as info:
+        machine(t, 0, trace=trace)
+    assert str(info.value) == message
+    assert trace == STRAY_RECORDS[machine.__name__]
