@@ -39,15 +39,14 @@ def _seed(parser, args):
         parser.error("EFFSIM_SEED must be an integer, got %r" % (env,))
 
 
-def _positive(kind, minimum=1):
+def _positive(kind):
     def parse(text):
         try:
             v = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError("%s must be an integer" % kind)
-        if v < minimum:
-            raise argparse.ArgumentTypeError(
-                "%s must be >= %d" % (kind, minimum))
+        if v < 1:
+            raise argparse.ArgumentTypeError("%s must be >= 1" % kind)
         return v
     return parse
 

@@ -486,7 +486,7 @@ def check_laws(suite, trials, seed):
 # Lemma suite.
 # ---------------------------------------------------------------------------
 
-def _trail_run(t, s, trail, undo=INT_UNDO):
+def _trail_run(t, s, trail):
     """hState1 ((hModify1 . hND+f . swap) t s) trail, keeping all pairs:
     h_global_t's stack without its projection.
 
@@ -495,7 +495,7 @@ def _trail_run(t, s, trail, undo=INT_UNDO):
     first.
     """
     res, tr = h_nil(run_stack(t, (("nondet", 1), ("modify", 0), ("state", 2)),
-                              (s, to_cells(trail[::-1])), undo))
+                              (s, to_cells(trail[::-1]))))
     return res, from_cells(tr)[::-1]
 
 

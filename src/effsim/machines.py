@@ -21,43 +21,31 @@ def simulate_f(t, s, trace=None):
 
     Put pushes a state-restoring resumption; Fail and exhausted leaves
     continue from the choicepoint stack.  If `trace` is a list, one record
-    (op, |results|, |cpStack|) is appended per machine transition.
+    (op, |results|, |cpStack|) is appended per machine transition, after the
+    transition, with the sizes it left.
     """
     def run(t, xs, stack, s):
         while True:
             if isinstance(t, Leaf):
-                if trace is not None:
-                    trace.append(("ret", len(xs) + 1, len(stack)))
                 xs.append(t.value)
-                t = None
+                step, t = "ret", None
             elif t.idx == 0:
                 op = t.op
                 if isinstance(op, Get):
-                    if trace is not None:
-                        trace.append(("get", len(xs), len(stack)))
-                    t = op.k(s)
-                    continue
-                if isinstance(op, Put):
-                    if trace is not None:
-                        trace.append(("put", len(xs), len(stack) + 1))
+                    step, t = "get", op.k(s)
+                elif isinstance(op, Put):
                     stack.append(("restore", s))
-                    s = op.s
-                    t = op.k
-                    continue
-                raise ValueError("simulate_f: non-state operation %s at "
-                                 "index 0" % type(op).__name__)
+                    step, s, t = "put", op.s, op.k
+                else:
+                    raise ValueError("simulate_f: non-state operation %s at "
+                                     "index 0" % type(op).__name__)
             elif t.idx == 1:
                 op = t.op
                 if isinstance(op, Fail):
-                    if trace is not None:
-                        trace.append(("fail", len(xs), len(stack)))
-                    t = None
+                    step, t = "fail", None
                 elif isinstance(op, Or):
-                    if trace is not None:
-                        trace.append(("or", len(xs), len(stack) + 1))
                     stack.append(("branch", op.r))
-                    t = op.l
-                    continue
+                    step, t = "or", op.l
                 else:
                     raise ValueError("simulate_f: non-nondet operation %s at "
                                      "index 1" % type(op).__name__)
@@ -66,7 +54,9 @@ def simulate_f(t, s, trace=None):
                             t.op.map_children(
                                 lambda c, xs=xs, stack=stack, s=s:
                                 run(c, list(xs), list(stack), s)))
-            # continue: pop the choicepoint stack
+            if trace is not None:
+                trace.append((step, len(xs), len(stack)))
+            # backtrack: pop the choicepoint stack
             while t is None:
                 if not stack:
                     return Leaf(xs)
@@ -85,50 +75,33 @@ def simulate_tf(t, s, undo=INT_UNDO, trace=None):
     Updates log their delta; Or pushes a marker and a resumption; entering a
     resumption first untrails back to the matching marker.  If `trace` is a
     list, one record (op, |results|, |cpStack|, |trStack|) is appended per
-    transition.
+    transition and per untrailed delta, after it, with the sizes it left.
     """
     def run(t, xs, cp, tr, s):
         while True:
             if isinstance(t, Leaf):
-                if trace is not None:
-                    trace.append(("ret", len(xs) + 1, len(cp), len(tr)))
                 xs.append(t.value)
-                t = None
+                step, t = "ret", None
             elif t.idx == 0:
                 op = t.op
                 if isinstance(op, MGet):
-                    if trace is not None:
-                        trace.append(("mget", len(xs), len(cp), len(tr)))
-                    t = op.k(s)
-                    continue
-                if isinstance(op, MUpdate):
-                    if trace is not None:
-                        trace.append(("update", len(xs), len(cp), len(tr) + 1))
+                    step, t = "mget", op.k(s)
+                elif isinstance(op, MUpdate):
                     tr.append(op.r)
-                    s = undo.plus(s, op.r)
-                    t = op.k
-                    continue
-                if isinstance(op, MRestore):
-                    if trace is not None:
-                        trace.append(("restore", len(xs), len(cp), len(tr)))
-                    s = undo.minus(s, op.r)
-                    t = op.k
-                    continue
-                raise ValueError("simulate_tf: non-modify operation %s at "
-                                 "index 0" % type(op).__name__)
+                    step, s, t = "update", undo.plus(s, op.r), op.k
+                elif isinstance(op, MRestore):
+                    step, s, t = "restore", undo.minus(s, op.r), op.k
+                else:
+                    raise ValueError("simulate_tf: non-modify operation %s at "
+                                     "index 0" % type(op).__name__)
             elif t.idx == 1:
                 op = t.op
                 if isinstance(op, Fail):
-                    if trace is not None:
-                        trace.append(("fail", len(xs), len(cp), len(tr)))
-                    t = None
+                    step, t = "fail", None
                 elif isinstance(op, Or):
-                    if trace is not None:
-                        trace.append(("or", len(xs), len(cp) + 1, len(tr) + 1))
                     cp.append(op.r)
                     tr.append(MARKER)
-                    t = op.l
-                    continue
+                    step, t = "or", op.l
                 else:
                     raise ValueError("simulate_tf: non-nondet operation %s "
                                      "at index 1" % type(op).__name__)
@@ -137,16 +110,17 @@ def simulate_tf(t, s, undo=INT_UNDO, trace=None):
                             t.op.map_children(
                                 lambda c, xs=xs, cp=cp, tr=tr, s=s:
                                 run(c, list(xs), list(cp), list(tr), s)))
-            # continue: pop a resumption and untrail back to its marker
+            if trace is not None:
+                trace.append((step, len(xs), len(cp), len(tr)))
+            # backtrack: pop a resumption and untrail back to its marker
             if t is None:
                 if not cp:
                     return Leaf(xs)
                 t = cp.pop()
                 while tr and tr[-1] is not MARKER:
-                    if trace is not None:
-                        trace.append(("untrail", len(xs), len(cp),
-                                      len(tr) - 1))
                     s = undo.minus(s, tr.pop())
+                    if trace is not None:
+                        trace.append(("untrail", len(xs), len(cp), len(tr)))
                 if tr:
                     tr.pop()  # the marker
     return run(t, [], [], [], s)

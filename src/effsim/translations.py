@@ -246,7 +246,8 @@ def simulate_t_tree(t):
         op@i            op@i, for every other operation
 
     where U r = get p; then put (p[0], rest); restore x; U r for the trail
-    (x, rest), put (p[0], rest); r for (MARKER, rest), or r if it is empty.
+    (x, rest), put (p[0], rest); r for (MARKER, rest).  The trail never
+    drains before the marker: U r is pushed in the same put as its MARKER.
     """
     return fold(partial(_leaf, 1), _sim_t_alg, t)
 
@@ -274,10 +275,7 @@ def _sim_t_log(r, k, p):
 
 
 def _sim_t_untrail(k, p):
-    ss, trail = p
-    if trail is None:
-        return k
-    x, trail = trail
+    ss, (x, trail) = p
     if x is MARKER:
         return Node(1, Put((ss, trail), k))
     return Node(1, Put((ss, trail), Node(0, MRestore(
