@@ -8,6 +8,11 @@ Commands:
     bench    --n N
     trace    --pipeline fusedF|fusedTF --n N
 
+Each command is one row of _COMMANDS: its help, its arguments and a run
+function that returns (JSON payload, text lines, exit code).  Every command
+takes --output text|json, and main prints the payload or the lines from one
+place.
+
 Exit codes: 0 success, 1 suite failure, 2 usage error.  A suite command
 without --seed takes its seed from the EFFSIM_SEED environment variable, or
 42 when it is unset; a value that is not an integer is a usage error.
@@ -28,10 +33,10 @@ from .machines import simulate_f, simulate_tf
 from .handlers import h_nil
 
 
-def _seed(parser, args):
+def _seed(parser, seed):
     """A suite command's seed: --seed, else EFFSIM_SEED, else 42."""
-    if args.seed is not None:
-        return args.seed
+    if seed is not None:
+        return seed
     env = os.environ.get("EFFSIM_SEED", "42")
     try:
         return int(env)
@@ -51,16 +56,87 @@ def _positive(kind):
     return parse
 
 
-# The suite commands as name -> (help, suite ids, default trials, run), where
-# run(args, seed) returns the suite's report.
-_SUITES = {
-    "difftest": ("run a theorem suite", THEOREM_IDS, 1000,
-                 lambda a, seed: check_theorem(a.suite, a.trials, seed,
-                                               depth=a.depth)),
-    "laws": ("run a law suite", LAW_SUITES, 500,
-             lambda a, seed: check_laws(a.suite, a.trials, seed)),
-    "lemmas": ("run a lemma suite", LEMMA_IDS, 300,
-               lambda a, seed: check_lemma(a.suite, a.trials, seed)),
+def _queens(args, seed):
+    solutions = run_pipeline(args.pipeline, args.n)
+    return ({"n": args.n, "solutions": solutions, "count": len(solutions)},
+            [str(sol) for sol in solutions]
+            + ["%d solutions" % len(solutions)], 0)
+
+
+def _suite(check):
+    """The run function of a suite command; check(args, seed) is its report."""
+    def run(args, seed):
+        report = check(args, seed)
+        lines = ["suite %s: %d trials, %d failures"
+                 % (report["suite"], report["trials"], len(report["failures"]))]
+        for f in report["failures"][:5]:
+            lines += ["  trialSeed=%d  %s" % (f["trialSeed"], f["astText"]),
+                      "    lhs=%s" % f["lhs"], "    rhs=%s" % f["rhs"]]
+        if report.get("counterexample"):
+            lines += ["  put-or violated under local semantics (as expected):",
+                      "    %s" % report["counterexample"]["astText"]]
+        return report, lines, 1 if report["failures"] else 0
+    return run
+
+
+def _suite_args(ids, trials):
+    return [("--suite", dict(choices=ids, required=True)),
+            ("--trials", dict(type=_positive("trials"), default=trials)),
+            ("--seed", dict(type=int, default=None))]
+
+
+def _bench(args, seed):
+    rows, answers = [], []
+    for name in PIPELINES:
+        t0 = time.perf_counter()
+        answers.append(run_pipeline(name, args.n))
+        rows.append({"pipeline": name,
+                     "seconds": round(time.perf_counter() - t0, 4),
+                     "count": len(answers[-1])})
+    agree = all(a == answers[0] for a in answers)
+    return ({"n": args.n, "agreement": agree, "timings": rows},
+            ["n=%d  agreement=%s" % (args.n, agree)]
+            + ["  %-8s %8.4fs  %d solutions"
+               % (row["pipeline"], row["seconds"], row["count"])
+               for row in rows], 0 if agree else 1)
+
+
+def _trace(args, seed):
+    steps = []
+    if args.pipeline == "fusedF":
+        result = h_nil(simulate_f(queens(args.n), INITIAL, trace=steps))
+    else:
+        result = h_nil(simulate_tf(queens_m(args.n), INITIAL, QUEENS_UNDO,
+                                   trace=steps))
+    return ({"n": args.n, "pipeline": args.pipeline, "steps": len(steps),
+             "solutions": result, "trace": steps},
+            ["\t".join(str(x) for x in s) for s in steps]
+            + ["%d steps, %d solutions" % (len(steps), len(result))], 0)
+
+
+_N = ("--n", dict(type=_positive("n"), required=True))
+
+# name -> (help, arguments as (flag, add_argument options), run), where
+# run(args, seed) returns (JSON payload, text lines, exit code); seed is None
+# for a command without --seed.
+_COMMANDS = {
+    "queens": ("solve n-queens with one pipeline",
+               [_N, ("--pipeline", dict(choices=sorted(PIPELINES),
+                                        default="local"))], _queens),
+    "difftest": ("run a theorem suite",
+                 _suite_args(THEOREM_IDS, 1000)
+                 + [("--depth", dict(type=int, choices=range(0, 11),
+                                     default=6))],
+                 _suite(lambda a, seed: check_theorem(a.suite, a.trials, seed,
+                                                      depth=a.depth))),
+    "laws": ("run a law suite", _suite_args(LAW_SUITES, 500),
+             _suite(lambda a, seed: check_laws(a.suite, a.trials, seed))),
+    "lemmas": ("run a lemma suite", _suite_args(LEMMA_IDS, 300),
+               _suite(lambda a, seed: check_lemma(a.suite, a.trials, seed))),
+    "bench": ("time every pipeline on n-queens", [_N], _bench),
+    "trace": ("emit machine step records",
+              [("--pipeline", dict(choices=("fusedF", "fusedTF"),
+                                   default="fusedTF")), _N], _trace),
 }
 
 
@@ -70,115 +146,22 @@ def _build_parser():
         description="Backtracking-effects engine: pipelines, differential "
                     "test suites, benchmarks, and machine traces.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    q = sub.add_parser("queens", help="solve n-queens with one pipeline")
-    q.add_argument("--n", type=_positive("n"), required=True)
-    q.add_argument("--pipeline", choices=sorted(PIPELINES), default="local")
-    q.add_argument("--output", choices=("text", "json"), default="text")
-
-    for name, (help_, ids, trials, _run) in _SUITES.items():
+    for name, (help_, arguments, _run) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--suite", choices=ids, required=True)
-        p.add_argument("--trials", type=_positive("trials"), default=trials)
-        p.add_argument("--seed", type=int, default=None)
-        if name == "difftest":
-            p.add_argument("--depth", type=int, choices=range(0, 11),
-                           default=6)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.add_argument("--output", choices=("text", "json"), default="text")
-
-    b = sub.add_parser("bench", help="time every pipeline on n-queens")
-    b.add_argument("--n", type=_positive("n"), required=True)
-    b.add_argument("--output", choices=("text", "json"), default="text")
-
-    t = sub.add_parser("trace", help="emit machine step records")
-    t.add_argument("--pipeline", choices=("fusedF", "fusedTF"),
-                   default="fusedTF")
-    t.add_argument("--n", type=_positive("n"), required=True)
-    t.add_argument("--output", choices=("text", "json"), default="text")
-
     return parser
-
-
-def _report_exit(report, output):
-    ok = not report["failures"]
-    if output == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print("suite %s: %d trials, %d failures"
-              % (report["suite"], report["trials"], len(report["failures"])))
-        for f in report["failures"][:5]:
-            print("  trialSeed=%d  %s" % (f["trialSeed"], f["astText"]))
-            print("    lhs=%s" % f["lhs"])
-            print("    rhs=%s" % f["rhs"])
-        if report.get("counterexample"):
-            print("  put-or violated under local semantics (as expected):")
-            print("    %s" % report["counterexample"]["astText"])
-    return 0 if ok else 1
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "queens":
-        solutions = run_pipeline(args.pipeline, args.n)
-        if args.output == "json":
-            print(json.dumps({"n": args.n, "solutions": solutions,
-                              "count": len(solutions)}, sort_keys=True))
-        else:
-            for sol in solutions:
-                print(sol)
-            print("%d solutions" % len(solutions))
-        return 0
-
-    if args.command in _SUITES:
-        report = _SUITES[args.command][3](args, _seed(parser, args))
-        return _report_exit(report, args.output)
-
-    if args.command == "bench":
-        rows = []
-        reference = None
-        agree = True
-        for name in PIPELINES:
-            t0 = time.perf_counter()
-            solutions = run_pipeline(name, args.n)
-            dt = time.perf_counter() - t0
-            if reference is None:
-                reference = solutions
-            elif solutions != reference:
-                agree = False
-            rows.append({"pipeline": name, "seconds": round(dt, 4),
-                         "count": len(solutions)})
-        payload = {"n": args.n, "agreement": agree, "timings": rows}
-        if args.output == "json":
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print("n=%d  agreement=%s" % (args.n, agree))
-            for row in rows:
-                print("  %-8s %8.4fs  %d solutions"
-                      % (row["pipeline"], row["seconds"], row["count"]))
-        return 0 if agree else 1
-
-    if args.command == "trace":
-        steps = []
-        if args.pipeline == "fusedF":
-            result = h_nil(simulate_f(queens(args.n), INITIAL, trace=steps))
-        else:
-            result = h_nil(simulate_tf(queens_m(args.n), INITIAL,
-                                       QUEENS_UNDO, trace=steps))
-        if args.output == "json":
-            print(json.dumps({"n": args.n, "pipeline": args.pipeline,
-                              "steps": len(steps),
-                              "solutions": result,
-                              "trace": [list(s) for s in steps]},
-                             sort_keys=True))
-        else:
-            for s in steps:
-                print("\t".join(str(x) for x in s))
-            print("%d steps, %d solutions" % (len(steps), len(result)))
-        return 0
-
-    parser.error("unknown command")  # pragma: no cover
+    seed = _seed(parser, args.seed) if "seed" in args else None
+    payload, lines, code = _COMMANDS[args.command][2](args, seed)
+    print(json.dumps(payload, sort_keys=True) if args.output == "json"
+          else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

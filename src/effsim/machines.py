@@ -112,15 +112,17 @@ def simulate_tf(t, s, undo=INT_UNDO, trace=None):
                                 run(c, list(xs), list(cp), list(tr), s)))
             if trace is not None:
                 trace.append((step, len(xs), len(cp), len(tr)))
-            # backtrack: pop a resumption and untrail back to its marker
+            # backtrack: pop a resumption and untrail back to its marker.
+            # Each Or pushes its resumption and its MARKER together, and
+            # untrailing pops back to that marker (forwarded resumptions copy
+            # both lists), so the trail holds a marker for every resumption.
             if t is None:
                 if not cp:
                     return Leaf(xs)
                 t = cp.pop()
-                while tr and tr[-1] is not MARKER:
+                while tr[-1] is not MARKER:
                     s = undo.minus(s, tr.pop())
                     if trace is not None:
                         trace.append(("untrail", len(xs), len(cp), len(tr)))
-                if tr:
-                    tr.pop()  # the marker
+                tr.pop()  # the marker
     return run(t, [], [], [], s)
