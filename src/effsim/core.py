@@ -148,9 +148,15 @@ def fold(gen, alg, t, rec=None):
     behind Get/MGet continuations fold on demand when the continuation is
     applied).  rec folds a child: built once per top-level call and passed
     down, it calls fold by name, so a wrapper installed there sees each node.
+    rec=False hands alg the operation as it is, with no child folded, for an
+    alg that folds each child by name when the run reaches it
+    (translations.simulate_tree); such a fold visits one node and never
+    recurses.
     """
     if t.__class__ is Leaf:
         return gen(t.value)
+    if rec is False:
+        return alg(t.idx, t.op)
     return alg(t.idx, t.op.map_children(rec or _recursion(gen, alg)))
 
 

@@ -31,10 +31,12 @@ def safe(q, n, qs):
 
 
 def valid(qs):
-    """True iff every queen is safe with respect to the ones after it."""
-    if not qs:
-        return True
-    return valid(qs[1:]) and safe(qs[0], 1, qs[1:])
+    """True iff every queen is safe with respect to the ones after it,
+    checked from the last queen back."""
+    for i in reversed(range(len(qs))):
+        if not safe(qs[i], 1, qs[i + 1:]):
+            return False
+    return True
 
 
 def q_plus(s, r):

@@ -14,9 +14,11 @@ of local state) and `simulate_t` (choicepoint + trail stacks).  Each runs
 its three translations as one fold, simulate_tree or simulate_t_tree, that
 sends every operation straight to its composite image (fold fusion:
 Meijer, Fokkinga & Paterson 1991; Wu & Schrijvers, Fusion for Free, 2015);
-the staged compositions are test references.  A tree with stray operations
-of both families reports the one the fold meets first, where the staged
-folds always reported the nondet one.
+the staged compositions are test references.  Like the paper's lazy Haskell
+folds, each of the two translates a node only when the run reaches it, so
+neither recurses on a deep input, and a tree with stray operations reports
+the first one the run reaches, where the staged folds always reported the
+nondet one.
 
 nondet2state's state, the paper's S, is the pair (results, stack): the
 results found so far, the newest at the head, and the pending branches, the
@@ -197,31 +199,50 @@ def simulate_tree(t):
         Put s k@0    get p; put ((xs, (R u, stack)), s); k,
                      with R u = get p; put (p[0], u); POP
         op@i, i > 1  op@(i - 1)
+
+    The fold translates the top node only; each child is translated when
+    the run reaches the step that continues with it.  _sim_get translates
+    k u, _sim_or l and then r as it pushes it, _sim_put k, and a forwarded
+    operation its concrete children as it is built and what its
+    continuation returns when it is applied.
     """
-    return fold(partial(_leaf, 0), _sim_alg, t)
+    return _sim(t)
+
+
+def _sim(t):
+    return fold(_LEAF[0], _sim_alg, t, False)
 
 
 def _sim_alg(idx, op):
     if idx == 0:
         if isinstance(op, Get):
-            return Node(0, Get(partial(_get, 1, op.k)))
+            return Node(0, Get(partial(_sim_get, op.k)))
         if isinstance(op, Put):
             return Node(0, Get(partial(_sim_put, op.s, op.k)))
         raise ValueError("states2state: non-state operation %s at index 0"
                          % type(op).__name__)
     if idx > 1:
-        return Node(idx - 1, op)
+        return Node(idx - 1, op.map_children(_sim))
     if isinstance(op, Fail):
         return _POP[0]
     if isinstance(op, Or):
-        return Node(0, Get(partial(_push, 0, op.r, op.l)))
+        return Node(0, Get(partial(_sim_or, op.r, op.l)))
     raise ValueError("nondet2state: non-nondet operation %s at index 1"
                      % type(op).__name__)
 
 
+def _sim_get(k, p):
+    return _sim(k(p[1]))
+
+
+def _sim_or(r, l, p):
+    l = _sim(l)
+    return _push(0, _sim(r), l, p)
+
+
 def _sim_put(s, k, p):
     restore_u = Node(0, Get(partial(_put2, p[1], _POP[0], 0)))
-    return _push(0, restore_u, k, (p[0], s))
+    return _push(0, restore_u, _sim(k), (p[0], s))
 
 
 def simulate_t(t, s, undo=INT_UNDO):
@@ -248,8 +269,16 @@ def simulate_t_tree(t):
     where U r = get p; then put (p[0], rest); restore x; U r for the trail
     (x, rest), put (p[0], rest); r for (MARKER, rest).  The trail never
     drains before the marker: U r is pushed in the same put as its MARKER.
+
+    As in simulate_tree, the fold translates the top node only.
+    _sim_t_push translates l and then r, _sim_t_log k, and a forwarded
+    operation, MGet included, its children as simulate_tree's do.
     """
-    return fold(partial(_leaf, 1), _sim_t_alg, t)
+    return _sim_t(t)
+
+
+def _sim_t(t):
+    return fold(_LEAF[1], _sim_t_alg, t, False)
 
 
 def _sim_t_alg(idx, op):
@@ -262,16 +291,17 @@ def _sim_t_alg(idx, op):
                          % type(op).__name__)
     if idx == 0 and isinstance(op, MUpdate):
         return Node(1, Get(partial(_sim_t_log, op.r, op.k)))
-    return Node(idx, op)
+    return Node(idx, op.map_children(_sim_t))
 
 
 def _sim_t_push(r, l, p):
-    untrail_r = Node(1, Get(partial(_sim_t_untrail, r)))
+    l = _sim_t(l)
+    untrail_r = Node(1, Get(partial(_sim_t_untrail, _sim_t(r))))
     return _push(1, untrail_r, l, (p[0], (MARKER, p[1])))
 
 
 def _sim_t_log(r, k, p):
-    return Node(1, Put((p[0], (r, p[1])), Node(0, MUpdate(r, k))))
+    return Node(1, Put((p[0], (r, p[1])), Node(0, MUpdate(r, _sim_t(k)))))
 
 
 def _sim_t_untrail(k, p):
@@ -307,6 +337,7 @@ def _pop(at, p):
 
 
 _POP = (Node(0, Get(partial(_pop, 0))), Node(1, Get(partial(_pop, 1))))
+_LEAF = (partial(_leaf, 0), partial(_leaf, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,10 @@ def test_left_nested_seq_is_linear(monkeypatch):
 def test_deep_left_nested_seq_without_raised_limit():
     # 40 000-long left-nested seqs under the interpreter's default recursion
     # limit, through the pipelines whose handlers and machines are loops.
-    # global, sim, globalM, globalT and simT are left out: their translation
-    # folds (local2global, nondet2state, local2global_m, local2trail) still
-    # recurse once per operation and raise RecursionError at this size.
+    # sim and simT take them too (test_translations covers both).  global,
+    # globalM and globalT are left out: their translation folds
+    # (local2global, local2global_m, local2trail) still recurse once per
+    # operation and raise RecursionError at this size.
     code = (
         "import sys\n"
         "import effsim\n"

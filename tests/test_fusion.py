@@ -218,7 +218,7 @@ def _sim_put_saving_new(s, k, p):
     saves the new state s instead of the old state p[1]."""
     T = translations
     restore_s = Node(0, Get(partial(T._put2, s, T._POP[0], 0)))
-    return T._push(0, restore_s, k, (p[0], s))
+    return T._push(0, restore_s, T._sim(k), (p[0], s))
 
 
 @pytest.mark.parametrize("seed", [7, 42])

@@ -70,6 +70,17 @@ from effsim.translations import (
     pytest.param(lambda: h_nil(simulate_t(mget(lambda s: put(1, at=1)), 0)),
                  "nondet2state: non-nondet operation Put at index 1",
                  id="simulate_t-mget-Put@1"),
+    # With several stray operations, the one the run reaches first is
+    # reported: the one behind the left branch's continuation, not the one
+    # under the right branch's first operation.
+    pytest.param(lambda: h_nil(simulate(or_(get(lambda s: put(1, at=1)),
+                                            put(5, k=mget(Leaf))), 0)),
+                 "nondet2state: non-nondet operation Put at index 1",
+                 id="simulate-run-order"),
+    pytest.param(lambda: h_nil(simulate_t(or_(mget(lambda s: get(Leaf)),
+                                              update(5, k=put(2, at=1))), 0)),
+                 "h_modify: non-modify operation Get at index 0",
+                 id="simulate_t-run-order"),
 ])
 def test_stray_operation_messages(run, message):
     with pytest.raises(ValueError) as info:

@@ -1,9 +1,13 @@
 """Translations: putR, choicepoint-state machines, state merging, trails."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import effsim
 from effsim.core import (
     Leaf, ret, get, put, fail, or_, choose, seq, mget, update, side,
 )
@@ -254,6 +258,47 @@ def test_simulate_t_scales():
     assert out == [10_000]
     out = h_nil(simulate_t(choose(range(10_000)), 0))
     assert out == list(range(10_000))
+
+
+# simulate and simulate_t translate each node when the run reaches it, so
+# their folds never recurse: 40 000-long inputs run under the interpreter's
+# default recursion limit, in a child process that lowers it again after the
+# package raised it.
+_DEEP = {
+    "sim": ("put", "get", "[40000]\n40000 0 39999 799980000\n[40000]\n"),
+    "simT": ("update", "mget",
+             "[800020000]\n40000 0 39999 799980000\n[800020000]\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(_DEEP))
+def test_simulations_take_deep_inputs_without_raised_limit(name):
+    op, close, expected = _DEEP[name]
+    code = (
+        "import sys\n"
+        "import effsim\n"
+        "sys.setrecursionlimit(1000)\n"
+        "from effsim.core import Leaf, seq, choose, %s as op, %s as close\n"
+        "from effsim.queens import RUNNERS\n"
+        "from effsim.handlers import INT_UNDO\n"
+        "run = lambda t: RUNNERS[%r](t, 0, INT_UNDO)\n"
+        "chain = close(Leaf)\n"
+        "for v in range(40000, 0, -1):\n"
+        "    chain = seq(op(v), chain)\n"
+        "print(run(chain))\n"
+        "xs = run(choose(range(40000)))\n"
+        "print(len(xs), xs[0], xs[-1], sum(xs))\n"
+        "left = op(1)\n"
+        "for v in range(2, 40001):\n"
+        "    left = seq(left, op(v))\n"
+        "print(run(seq(left, close(Leaf))))\n"
+        % (op, close, name))
+    src = os.path.dirname(os.path.dirname(effsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 # Each Get continuation a translation builds is a step function partially
