@@ -9,7 +9,10 @@ their expressions:
         | ("get", v, p) | ("put", e, p) | ("mget", v, p) | ("update", e, p)
     e ::= ("const", n) | ("var", v) | ("add", e, e) | ("sub", e, e)
 
-with n in [-3, 3] and v a variable name.  The integer Undo instance is
+with n in [-3, 3] and v a variable name.  gen_program draws each choice
+from random.Random(seed).getrandbits alone, by the rule CPython 3.11's
+Random.choice and randint follow, so every seed keeps yielding the program
+those calls drew (tests/reference_gen.py).  The integer Undo instance is
 plus = +, minus = -.  Restore is never generated (the translation theorems'
 precondition).  Reports are JSON-ready records:
 {suite, seed, trials, failures: [{trialSeed, astText, lhs, rhs}]}.
@@ -84,50 +87,70 @@ def show_ast(p):
 # Generation.
 # ---------------------------------------------------------------------------
 
-def _gen_expr(rng, vars_, depth=2):
-    choices = ["const"] + (["var"] if vars_ else []) \
-        + (["add", "sub"] if depth > 0 else [])
-    kind = rng.choice(choices)
+def _choices(xs):
+    """xs as the table of one draw: (k, xs padded with None to 2**k).  A
+    draw reads k = len(xs).bit_length() bits and redraws past the end of
+    xs, even for one choice, as random.Random.choice does in CPython 3.11."""
+    k = len(xs).bit_length()
+    return k, tuple(xs) + (None,) * (2 ** k - len(xs))
+
+
+def _pick(bits, table):
+    k, xs = table
+    x = xs[bits(k)]
+    while x is None:
+        x = xs[bits(k)]
+    return x
+
+
+# The kinds an expression draws from, by [no variable in scope][depth left].
+_EXPR_KINDS = tuple(tuple(_choices(("const",) + ("var",) * v
+                                   + ("add", "sub") * (d > 0))
+                          for d in range(3)) for v in (True, False))
+_CONSTS = _choices(range(-3, 4))  # random.Random.randint(-3, 3)
+
+
+def _gen_expr(bits, vars_, depth=2):
+    kind = _pick(bits, _EXPR_KINDS[not vars_][depth])
     if kind == "const":
-        return ("const", rng.randint(-3, 3))
+        return ("const", _pick(bits, _CONSTS))
     if kind == "var":
-        return ("var", rng.choice(vars_))
-    return (kind, _gen_expr(rng, vars_, depth - 1),
-            _gen_expr(rng, vars_, depth - 1))
+        return ("var", _pick(bits, _choices(vars_)))
+    return (kind, _gen_expr(bits, vars_, depth - 1),
+            _gen_expr(bits, vars_, depth - 1))
 
 
-def _gen_ast(rng, depth, families, vars_, counter):
-    atoms = ["ret"] + (["fail"] if "nondet" in families else [])
-    if depth <= 0:
-        kind = rng.choice(atoms)
-    else:
-        kinds = ["ret", "seq"]
-        if "nondet" in families:
-            kinds += ["fail", "or", "or"]
-        if "state" in families:
-            kinds += ["get", "put", "put"]
-        if "modify" in families:
-            kinds += ["mget", "update", "update"]
-        kind = rng.choice(kinds)
-    sub = lambda vs=vars_: _gen_ast(rng, depth - 1, families, vs, counter)
+def _gen_ast(bits, depth, kinds, vars_, counter):
+    """kinds holds the tables of the atoms drawn at depth 0 and of the
+    kinds drawn above it."""
+    kind = _pick(bits, kinds[depth > 0])
     if kind == "ret":
-        return ("ret", _gen_expr(rng, vars_))
+        return ("ret", _gen_expr(bits, vars_))
     if kind == "fail":
         return ("fail",)
+    depth -= 1
     if kind in ("or", "seq"):
-        return (kind, sub(), sub())
+        return (kind, _gen_ast(bits, depth, kinds, vars_, counter),
+                _gen_ast(bits, depth, kinds, vars_, counter))
     if kind in ("get", "mget"):
         v = "v%d" % counter[0]
         counter[0] += 1
-        return (kind, v, sub(vars_ + [v]))
-    return (kind, _gen_expr(rng, vars_), sub())  # put, update
+        return (kind, v, _gen_ast(bits, depth, kinds, vars_ + (v,), counter))
+    return (kind, _gen_expr(bits, vars_),  # put, update
+            _gen_ast(bits, depth, kinds, vars_, counter))
 
 
 def gen_program(seed, depth, families, free_vars=()):
     """Deterministically generate a depth-bounded program using only the
-    requested families; free_vars names variables assumed bound outside."""
-    rng = random.Random(seed)
-    return _gen_ast(rng, depth, set(families), list(free_vars), [0])
+    requested families; free_vars names variables assumed bound outside.
+    Each draw reads random.Random(seed).getrandbits (_pick)."""
+    nd = "nondet" in families
+    kinds = (_choices(("ret", "fail") if nd else ("ret",)),
+             _choices(("ret", "seq") + ("fail", "or", "or") * nd
+                      + ("get", "put", "put") * ("state" in families)
+                      + ("mget", "update", "update") * ("modify" in families)))
+    return _gen_ast(random.Random(seed).getrandbits, depth, kinds,
+                    tuple(free_vars), [0])
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +174,7 @@ def lower(ast, layout, env=None):
         return bind(lower(ast[1], layout, env),
                     lambda _x: lower(ast[2], layout, env))
     if kind in ("get", "mget"):
-        body = lambda s: lower(ast[2], layout, dict(env, **{ast[1]: s}))
+        body = lambda s: lower(ast[2], layout, {**env, ast[1]: s})
         if kind == "mget" and "modify_as_state" not in layout:
             return mget(body, at=layout["modify"])
         return get(body, at=layout["state" if kind == "get"
@@ -198,7 +221,7 @@ def oracle_eval(ast, s0, mode):
         if kind == "seq":
             return ev(p[1], env, s, lambda _a, s2: ev(p[2], env, s2, k))
         if kind in ("get", "mget"):
-            return ev(p[2], dict(env, **{p[1]: s}), s, k)
+            return ev(p[2], {**env, p[1]: s}, s, k)
         if kind == "put":
             return ev(p[2], env, eval_expr(p[1], env), k)
         if kind == "update":
