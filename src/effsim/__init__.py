@@ -5,8 +5,9 @@ properties."""
 
 import sys as _sys
 
-# The translation folds and run_stack's residual forwarding recurse over
-# tree structure; deep programs need more than the default limit.
+# The eager translation folds (local2global, local2global_m, local2trail)
+# recurse over tree structure; deep programs need more than the default
+# limit.
 if _sys.getrecursionlimit() < 100_000:
     _sys.setrecursionlimit(100_000)
 

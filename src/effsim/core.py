@@ -13,18 +13,27 @@ index in the ordered coproduct.  The families are:
 Get/MGet continuations are function values (state -> subtree), which keeps
 trees lazy in the state; all other children are concrete subtrees.
 
+A node whose children are built late is one private Node subclass,
+_Deferred(idx, op, f): the node Node(idx, op.map_children(f)), with f mapped
+on the first read of its op, which is then cached.  Haskell evaluates the
+paper's folds lazily; this node does the same for bind, for tree_map and
+for the forwarding of an operation that a handler, machine or fused
+translation does not own, so none of them recurses on a long chain of
+operations.  Only fold with a rec maps every child at once, in the eager
+translations local2global, local2global_m and local2trail.
+
 bind builds only the top node of its result.  Each child of that node is
-deferred: an operation child c is held, unread, in a private Node subclass
-together with a continuation queue (a function, or a pair of queues, applied
-left to right).  The deferred node's op is built on the first read of t.op,
-by pushing the queue one level further down, and then cached.  Binding a
-deferred node that was not read yet appends to its queue instead of nesting,
-so every bind is O(1) work and a left-nested seq of n operations costs O(n)
-(Kiselyov & Ishii, Freer Monads, More Extensible Effects, 2015).  A leaf
-child is never deferred: the queue is applied to its value at once.  So a
-deferred node is always an operation node with the ordinary idx and op
-attributes, and every isinstance(t, Leaf) / t.idx / t.op site in the
-handlers, translations and machines reads it as a plain Node.
+deferred under f = partial(_defer, q), q a continuation queue (a function,
+or a pair of queues, applied left to right).  Binding a deferred node that
+was not read yet appends to its queue instead of nesting, so every bind is
+O(1) work and a left-nested seq of n operations costs O(n) (Kiselyov &
+Ishii, Freer Monads, More Extensible Effects, 2015).  A leaf child is never
+deferred: the queue is applied to its value at once.  Forwarding returns
+_Deferred(shifted idx, op, resume), and tree_map defers each child under
+return . f.  So a deferred node is always an operation node with the
+ordinary idx and op attributes, and every isinstance(t, Leaf) / t.idx /
+t.op site in the handlers, translations and machines reads it as a plain
+Node.
 """
 
 from functools import partial
@@ -175,7 +184,7 @@ def bind(t, f):
     """
     if isinstance(t, Leaf):
         return f(t.value)
-    if t.__class__ is _Deferred and t._c is not None:
+    if t.__class__ is _Deferred and t._f.__class__ is partial:
         return _defer(f, t)
     return Node(t.idx, t.op.map_children(partial(_defer, f)))
 
@@ -189,9 +198,9 @@ def _defer(q, c):
         if q.__class__ is not tuple:
             return q(c.value)
         return _run_queue(q, c.value)
-    if c.__class__ is _Deferred and c._c is not None:
-        return _Deferred(c._c, (c._q, q))
-    return _Deferred(c, q)
+    if c.__class__ is _Deferred and c._f.__class__ is partial:
+        return _Deferred(c.idx, c._op, partial(_defer, (c._f.args[0], q)))
+    return _Deferred(c.idx, c.op, partial(_defer, q))
 
 
 def _run_queue(q, x):
@@ -211,32 +220,39 @@ def _run_queue(q, x):
 
 
 class _Deferred(Node):
-    """The operation node c >>= q, with q not yet pushed into c's children.
+    """The operation node Node(idx, op.map_children(f)), with f not yet
+    mapped.
 
-    idx is c's.  op is a property: its first read builds c's op with every
-    child deferred under q, caches it and drops c and q (_c is None from
-    then on).
+    op is a property: its first read maps f over the children, caches the
+    result and drops f (_f is None from then on).  An unread node whose f
+    is a partial is bind's (tree_map's too), f = partial(_defer, q): bind
+    and _defer append to its queue q.  So every other f, a forwarding
+    site's resumption, must be a lambda or a module function, never a
+    partial.
     """
 
-    __slots__ = ("_c", "_q", "_op")
+    __slots__ = ("_op", "_f")
 
-    def __init__(self, c, q):
-        self.idx = c.idx
-        self._c = c
-        self._q = q
+    def __init__(self, idx, op, f):
+        self.idx = idx
+        self._op = op
+        self._f = f
 
     @property
     def op(self):
-        c = self._c
-        if c is not None:
-            self._op = c.op.map_children(partial(_defer, self._q))
-            self._c = self._q = None
+        f = self._f
+        if f is not None:
+            self._op = self._op.map_children(f)
+            self._f = None
         return self._op
 
 
 def tree_map(t, f):
-    """Functorial map over leaf values: the paper's fmap, one fold."""
-    return fold(lambda x: Leaf(f(x)), Node, t)
+    """Functorial map over leaf values: the paper's fmap, one fold of the
+    top node, each child deferred under return . f (fmap f c = c >>= return
+    . f), so a chain of any length maps without recursion."""
+    gen = lambda x: Leaf(f(x))
+    return fold(gen, Node, t, partial(_defer, gen))
 
 
 def seq(a, b):

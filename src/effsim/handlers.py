@@ -4,8 +4,10 @@ A handler stack is a tuple of frames, each a family ("state", "modify" or
 "nondet") and the injection index it handles in the input tree, in the
 order the handlers are applied.  run_stack runs a whole stack in one loop
 and builds no residual tree between its handlers.  An operation at an index
-no frame owns is forwarded as a residual node, with the frame states
-captured and copied on each resumption; only that forwarding recurses.
+no frame owns is forwarded as core's deferred node, with the frame states
+captured and copied on each resumption, which runs over its children only
+when the next handler reads the node: so a chain of forwarded operations
+nests no call of the loop, and nothing here recurses.
 
 A nondet frame's choicepoint saves the states of the frames listed before
 it and no others: that one rule is the whole difference between local state
@@ -19,8 +21,7 @@ and trails; to_cells and from_cells convert lists to cells and back.
 import functools
 
 from .core import (
-    Leaf, Node, Get, Put, Fail, Or, MGet, MUpdate, MRestore,
-    tree_map,
+    Leaf, Get, Put, Fail, Or, MGet, MUpdate, MRestore, _Deferred, tree_map,
 )
 
 
@@ -124,10 +125,9 @@ def _run(t, st, xs, stack, plan, undo):
         else:
             frame = own.get(t.idx)
             if frame is None:
-                return Node(t.idx - below.get(t.idx, len(own)),
-                            t.op.map_children(
-                                lambda c, st=st, xs=xs, stack=stack:
-                                _run(c, st[:], xs, stack, plan, undo)))
+                return _Deferred(t.idx - below.get(t.idx, len(own)), t.op,
+                                 lambda c, st=st, xs=xs, stack=stack:
+                                 _run(c, st[:], xs, stack, plan, undo))
             rd, wr, i, stray = frame
             op = t.op
             c = op.__class__

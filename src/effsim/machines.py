@@ -4,13 +4,14 @@ simulate_f collapses the choicepoint-stack pipeline into one machine with a
 results list and a choicepoint stack; simulate_tf additionally keeps a trail
 (the WAM stack/trail discipline) that holds each applied delta as it is and
 translations.MARKER at each choicepoint, told apart by identity.  Both run as
-iterative loops over in-place stacks (Python lists, top at the end); the
-only recursion is the forwarding of residual operations, whose children
-resume the machine from copies of the stacks.
+iterative loops over in-place stacks (Python lists, top at the end).  A
+residual operation is forwarded as core's deferred node, whose children
+resume the machine from copies of the stacks when the next handler reads
+it, so neither machine recurses.
 """
 
 from .core import (
-    Leaf, Node, Get, Put, Fail, Or, MGet, MUpdate, MRestore,
+    Leaf, Get, Put, Fail, Or, MGet, MUpdate, MRestore, _Deferred,
 )
 from .handlers import INT_UNDO
 from .translations import MARKER
@@ -50,10 +51,9 @@ def simulate_f(t, s, trace=None):
                     raise ValueError("simulate_f: non-nondet operation %s at "
                                      "index 1" % type(op).__name__)
             else:
-                return Node(t.idx - 2,
-                            t.op.map_children(
-                                lambda c, xs=xs, stack=stack, s=s:
-                                run(c, list(xs), list(stack), s)))
+                return _Deferred(t.idx - 2, t.op,
+                                 lambda c, xs=xs, stack=stack, s=s:
+                                 run(c, list(xs), list(stack), s))
             if trace is not None:
                 trace.append((step, len(xs), len(stack)))
             # backtrack: pop the choicepoint stack
@@ -106,10 +106,9 @@ def simulate_tf(t, s, undo=INT_UNDO, trace=None):
                     raise ValueError("simulate_tf: non-nondet operation %s "
                                      "at index 1" % type(op).__name__)
             else:
-                return Node(t.idx - 2,
-                            t.op.map_children(
-                                lambda c, xs=xs, cp=cp, tr=tr, s=s:
-                                run(c, list(xs), list(cp), list(tr), s)))
+                return _Deferred(t.idx - 2, t.op,
+                                 lambda c, xs=xs, cp=cp, tr=tr, s=s:
+                                 run(c, list(xs), list(cp), list(tr), s))
             if trace is not None:
                 trace.append((step, len(xs), len(cp), len(tr)))
             # backtrack: pop a resumption and untrail back to its marker.

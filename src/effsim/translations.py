@@ -36,7 +36,7 @@ from functools import partial
 
 from .core import (
     Leaf, Node, Get, Put, Fail, Or, MUpdate, MRestore,
-    tree_map, or_, update, restore, fold,
+    _Deferred, tree_map, or_, update, restore, fold,
 )
 from .handlers import h_state, h_nil, run_stack, from_cells, INT_UNDO
 
@@ -203,8 +203,8 @@ def simulate_tree(t):
     The fold translates the top node only; each child is translated when
     the run reaches the step that continues with it.  _sim_get translates
     k u, _sim_or l and then r as it pushes it, _sim_put k, and a forwarded
-    operation its concrete children as it is built and what its
-    continuation returns when it is applied.
+    operation, core's deferred node, its children when the next handler
+    reads it.
     """
     return _sim(t)
 
@@ -222,7 +222,7 @@ def _sim_alg(idx, op):
         raise ValueError("states2state: non-state operation %s at index 0"
                          % type(op).__name__)
     if idx > 1:
-        return Node(idx - 1, op.map_children(_sim))
+        return _Deferred(idx - 1, op, _sim)
     if isinstance(op, Fail):
         return _POP[0]
     if isinstance(op, Or):
@@ -291,7 +291,7 @@ def _sim_t_alg(idx, op):
                          % type(op).__name__)
     if idx == 0 and isinstance(op, MUpdate):
         return Node(1, Get(partial(_sim_t_log, op.r, op.k)))
-    return Node(idx, op.map_children(_sim_t))
+    return _Deferred(idx, op, _sim_t)
 
 
 def _sim_t_push(r, l, p):

@@ -1,5 +1,6 @@
 """Effect-tree core: fold, bind, monad laws, constructors, show_tree."""
 
+import ast
 import os
 import random
 import subprocess
@@ -168,3 +169,18 @@ def test_repr_of_deep_tree_under_default_recursion_limit():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "368896\n"
+
+
+def test_only_core_maps_children():
+    # Every map over an operation's children is core's: fold's and the
+    # deferred node's, which bind, tree_map and every forwarding site use.
+    pkg = os.path.dirname(effsim.__file__)
+    sites = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as f:
+                tree = ast.parse(f.read())
+            sites += [(name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "map_children"]
+    assert sites and {name for name, _line in sites} == {"core.py"}, sites

@@ -1,9 +1,17 @@
 """Malformed and open trees: the message of every stray-operation error, and
-forwarding of a third family through every state and modify pipeline."""
+forwarding of a third family through every state and modify pipeline, on
+chains of any length, on random programs, and through core's deferred node,
+which runs a forwarded operation's resumption when its op is first read."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
-from effsim.core import Leaf, get, put, or_, seq, mget, update
+import effsim
+from effsim.core import Leaf, bind, get, put, or_, seq, mget, update
+from effsim.difftest import gen_program, lower
 from effsim.handlers import (
     h_nd, h_state, h_modify, h_ndf, h_nil,
     h_local, h_global, h_local_m, h_global_m, h_global_t,
@@ -11,8 +19,12 @@ from effsim.handlers import (
 from effsim.machines import simulate_f, simulate_tf
 from effsim.translations import (
     nondet2state, states2state, local2global, local2global_m,
-    simulate, simulate_t,
+    simulate, simulate_t, simulate_tree, simulate_t_tree,
 )
+
+
+def _behind_two_forwarded():
+    return put(1, at=2, k=put(2, at=2, k=mget(Leaf)))
 
 
 @pytest.mark.parametrize("run, message", [
@@ -81,6 +93,20 @@ from effsim.translations import (
                                               update(5, k=put(2, at=1))), 0)),
                  "h_modify: non-modify operation Get at index 0",
                  id="simulate_t-run-order"),
+    # A stray operation behind two forwarded ones is met when the closing
+    # h_state reads them, or when a pipeline's tree_map does.
+    pytest.param(lambda: h_nil(h_state(h_local(_behind_two_forwarded(), 0),
+                                       9)),
+                 "h_state: non-state operation MGet at index 0",
+                 id="local-forwarded-MGet@0"),
+    pytest.param(lambda: h_nil(h_state(simulate(_behind_two_forwarded(), 0),
+                                       9)),
+                 "states2state: non-state operation MGet at index 0",
+                 id="simulate-forwarded-MGet@0"),
+    pytest.param(lambda: h_nil(h_state(
+                     simulate_f(_behind_two_forwarded(), 0), 9)),
+                 "simulate_f: non-state operation MGet at index 0",
+                 id="simulate_f-forwarded-MGet@0"),
 ])
 def test_stray_operation_messages(run, message):
     with pytest.raises(ValueError) as info:
@@ -125,3 +151,128 @@ def test_modify_pipelines_forward_a_third_family(name):
     t = _third_family_program(update, mget)
     out = h_nil(h_state(MODIFY_PIPELINES[name](t, 0), 100))
     assert out == ([(1, 100), (6, 60)], 60)
+
+
+# Every forwarding site returns the deferred node of effsim.core, which runs
+# the resumption over an operation's children on the first read of its op.
+# So a chain of forwarded operations nests no call of the loop that
+# forwarded it, and 40 000-long chains run under the interpreter's default
+# recursion limit, in a child process that lowers it again after the package
+# raised it.  global, globalM and globalT are left out: the eager folds of
+# local2global, local2global_m and local2trail still recurse.
+_DEEP_FORWARD = {
+    "local": (2, "h_local(t, 0)", "([40000], 40000)"),
+    "localM": (2, "h_local_m(t, 0)", "([40000], 40000)"),
+    "sim": (2, "simulate(t, 0)", "([40000], 40000)"),
+    "simT": (2, "simulate_t(t, 0)", "([40000], 40000)"),
+    "fusedF": (2, "simulate_f(t, 0)", "([40000], 40000)"),
+    "fusedTF": (2, "simulate_tf(t, 0)", "([40000], 40000)"),
+    "h_state": (1, "h_state(t, 'a')", "((40000, 'a'), 40000)"),
+}
+
+
+@pytest.mark.parametrize("name", list(_DEEP_FORWARD))
+def test_deep_forwarding_without_raised_limit(name):
+    at, run, expected = _DEEP_FORWARD[name]
+    code = (
+        "import sys\n"
+        "import effsim\n"
+        "sys.setrecursionlimit(1000)\n"
+        "from effsim.core import Leaf, get, put\n"
+        "from effsim.handlers import h_state, h_nil, h_local, h_local_m\n"
+        "from effsim.translations import simulate, simulate_t\n"
+        "from effsim.machines import simulate_f, simulate_tf\n"
+        "t = get(Leaf, at=%d)\n"
+        "for v in range(40000, 0, -1):\n"
+        "    t = put(v, at=%d, k=t)\n"
+        "print(h_nil(h_state(%s, 0)))\n" % (at, at, run))
+    src = os.path.dirname(os.path.dirname(effsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected + "\n"
+
+
+# Differential check of forwarding: random programs over state, nondet and
+# modify, with one of the state families lowered as a third family at index
+# 2, which every pipeline forwards.  Closed with h_state, each pipeline must
+# give the answers of local (state pipelines) or localM (modify pipelines).
+_FORWARD_LAYOUTS = (
+    (STATE_PIPELINES, "local", {"state": 0, "nondet": 1,
+                                "modify_as_state": 2}),
+    (MODIFY_PIPELINES, "localM", {"modify": 0, "nondet": 1, "state": 2}),
+)
+
+
+def test_forwarding_pipelines_agree_on_random_programs():
+    disagreements = []
+    for seed in range(300):
+        ast = gen_program(seed, 5, ("state", "nondet", "modify"))
+        s0, a0 = seed % 3, seed % 5 - 2
+        for pipelines, ref, layout in _FORWARD_LAYOUTS:
+            t = lower(ast, layout)
+            want = h_nil(h_state(pipelines[ref](t, s0), a0))
+            for name, run in pipelines.items():
+                got = h_nil(h_state(run(t, s0), a0))
+                if got != want:
+                    disagreements.append((seed, name, got, want))
+    assert disagreements == []
+
+
+# The deferred node's contract at a forwarding site.
+
+def test_forwarded_op_is_built_once_on_first_read():
+    calls = []
+
+    def k(s):
+        calls.append(s)
+        return Leaf(s)
+    residual = h_state(or_(get(k), get(k)), 7)
+    assert calls == []  # nothing of the children runs before the read
+    op = residual.op
+    assert calls == [7, 7]  # the resumption ran once per concrete child
+    assert residual.op is op
+    assert calls == [7, 7]
+    assert h_nil(h_ndf(residual)) == [(7, 7), (7, 7)]
+
+
+def test_forwarded_machine_trace_grows_when_read():
+    trace = []
+    residual = simulate_f(put(1, k=put(2, at=2, k=get(Leaf))), 0, trace)
+    assert trace == [("put", 0, 1)]
+    residual.op
+    residual.op
+    assert trace == [("put", 0, 1), ("get", 0, 1), ("ret", 1, 1)]
+
+
+def test_bind_over_unread_forwarded_residual_binds_a_tree():
+    residual = h_state(put(1, at=1, k=Leaf("x")), 0)
+    t = bind(residual, lambda v: Leaf(("bound", v)))
+    assert h_nil(h_state(t, 9)) == (("bound", ("x", 0)), 1)
+    t = bind(h_state(put(1, at=1, k=Leaf("x")), 0),
+             lambda v: get(lambda s: Leaf((v, s))))
+    assert h_nil(h_state(t, 9)) == ((("x", 0), 1), 1)
+
+
+@pytest.mark.parametrize("run, t, message", [
+    (lambda t: h_state(t, 0), put(1, at=1, k=mget(Leaf)),
+     "h_state: non-state operation MGet at index 0"),
+    (lambda t: simulate_f(t, 0), put(1, at=2, k=mget(Leaf)),
+     "simulate_f: non-state operation MGet at index 0"),
+    (lambda t: simulate_tf(t, 0), put(1, at=2, k=get(Leaf)),
+     "simulate_tf: non-modify operation Get at index 0"),
+    (simulate_tree, put(1, at=2, k=mget(Leaf)),
+     "states2state: non-state operation MGet at index 0"),
+    (simulate_t_tree, put(1, at=2, k=put(5, at=1)),
+     "nondet2state: non-nondet operation Put at index 1"),
+], ids=["h_state", "simulate_f", "simulate_tf", "simulate_tree",
+        "simulate_t_tree"])
+def test_stray_behind_forwarded_op_raises_when_read(run, t, message):
+    # The forwarding site runs nothing of the forwarded put's child until
+    # the outer run reads the residual's op, and then the stray operation
+    # there raises its pinned message.
+    residual = run(t)
+    with pytest.raises(ValueError) as info:
+        residual.op
+    assert str(info.value) == message
