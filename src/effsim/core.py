@@ -180,13 +180,17 @@ def bind(t, f):
 
     Only the top node is built now; its children are deferred under f (see
     the module docstring), so the cost is one map_children call whatever
-    the size of t.
+    the size of t.  A Fail node, which has no children, is returned as it
+    is.
     """
     if isinstance(t, Leaf):
         return f(t.value)
     if t.__class__ is _Deferred and t._f.__class__ is partial:
         return _defer(f, t)
-    return Node(t.idx, t.op.map_children(partial(_defer, f)))
+    op = t.op
+    if op.__class__ is Fail:  # no children: fail >>= f = fail
+        return t
+    return Node(t.idx, op.map_children(partial(_defer, f)))
 
 
 def _defer(q, c):

@@ -30,6 +30,13 @@ so every push and pop is O(1) and never copies: a forwarded continuation may
 resume the same state again.  Each Get continuation built here is a partial
 application of a private step function, and the pop trees, which capture
 nothing, are built once per index and shared.
+
+The two fused folds keep their undo work as data, as simulate_f does
+(defunctionalisation: Danvy & Nielsen, Defunctionalization at Work, 2001).
+simulate_tree pushes the restore entry (u,) for each put, where the staged
+form pushes a restoring program, and one pop applies a whole run of them as
+one write (the put-put law).  simulate_t_tree's pop untrails back to the
+branch's MARKER in one step, where the staged untrail takes one per delta.
 """
 
 from functools import partial
@@ -189,22 +196,27 @@ def simulate_tree(t):
     [StateF, NondetF|rest] to [StateF(p)|rest], p = ((xs, stack), u).  By
     fold fusion each case goes to its composite image, with consecutive
     reads of p merged; the stack holds images, so no branch is translated
-    twice:
+    twice, and the restoring side of each put as the data entry (u,), as
+    simulate_f's ("restore", s) entries:
 
-        Leaf x       get p; put (((x, xs), stack), u); POP
+        Leaf x       get p; then as POP from ((x, xs), stack), with the
+                     put made on an empty stack too
         Fail@1       POP = get p; ret () if the stack is empty, else
-                     put ((xs, rest), u); q, for the stack (q, rest)
+                     put ((xs, rest), u'); q.  q is the top branch, rest
+                     the entries below it, and u' the state in the deepest
+                     restore entry above q, or u if there is none; with no
+                     branch left, q is ret () and rest is empty
         Or l r@1     get p; put ((xs, (r, stack)), u); l
         Get k@0      get p; k u
-        Put s k@0    get p; put ((xs, (R u, stack)), s); k,
-                     with R u = get p; put (p[0], u); POP
+        Put s k@0    get p; put ((xs, ((u,), stack)), s); k
         op@i, i > 1  op@(i - 1)
 
-    The fold translates the top node only; each child is translated when
-    the run reaches the step that continues with it.  _sim_get translates
-    k u, _sim_or l and then r as it pushes it, _sim_put k, and a forwarded
-    operation, core's deferred node, its children when the next handler
-    reads it.
+    By the put-put law the staged run of restores, get p; put (p[0], u);
+    POP for each entry, is that one put.  The fold translates the top node
+    only; each child is translated when the run reaches the step that
+    continues with it.  _sim_get translates k u, _sim_or l and then r as it
+    pushes it, _sim_put k, and a forwarded operation, core's deferred node,
+    its children when the next handler reads it.
     """
     return _sim(t)
 
@@ -241,8 +253,18 @@ def _sim_or(r, l, p):
 
 
 def _sim_put(s, k, p):
-    restore_u = Node(0, Get(partial(_put2, p[1], _POP[0], 0)))
-    return _push(0, restore_u, _sim(k), (p[0], s))
+    return _push(0, (p[1],), _sim(k), (p[0], s))
+
+
+def _sim_pop(xs, stack, u):
+    """simulate_tree's pop: apply each restore entry down to the first
+    branch and go on with it, or with ret () once the stack is empty."""
+    while stack is not None:
+        q, stack = stack
+        if q.__class__ is not tuple:
+            return Node(0, Put(((xs, stack), u), q))
+        u = q[0]
+    return Node(0, Put(((xs, None), u), _UNIT))
 
 
 def simulate_t(t, s, undo=INT_UNDO):
@@ -261,14 +283,20 @@ def simulate_t_tree(t):
     only move families), from [ModifyF, NondetF|rest] to [ModifyF,
     StateF(p)|rest], p = ((xs, stack), trail):
 
-        Leaf x, Fail@1  as in simulate_tree, with trail for u
-        Or l r@1        get p; put ((xs, (U r, stack)), (MARKER, trail)); l
+        Leaf x          get p; then as POP from ((x, xs), stack), with
+                        the put made on an empty stack too
+        Fail@1          POP = get p; ret () if the stack is empty, else
+                        put ((xs, rest), trail'); restore x1; ...;
+                        restore xn; r, for the stack (r, rest) and the
+                        trail (x1, ... (xn, (MARKER, trail')))
+        Or l r@1        get p; put ((xs, (r, stack)), (MARKER, trail)); l
         MUpdate r k@0   get p; put ((xs, stack), (r, trail)); update r; k
         op@i            op@i, for every other operation
 
-    where U r = get p; then put (p[0], rest); restore x; U r for the trail
-    (x, rest), put (p[0], rest); r for (MARKER, rest).  The trail never
-    drains before the marker: U r is pushed in the same put as its MARKER.
+    The stack holds the translated right branch itself: its pop untrails
+    back to the branch's MARKER in one step, where the staged untrail reads
+    and writes the trail once per delta.  The trail never drains before the
+    marker: r is pushed in the same put as its MARKER.
 
     As in simulate_tree, the fold translates the top node only.
     _sim_t_push translates l and then r, _sim_t_log k, and a forwarded
@@ -296,24 +324,33 @@ def _sim_t_alg(idx, op):
 
 def _sim_t_push(r, l, p):
     l = _sim_t(l)
-    untrail_r = Node(1, Get(partial(_sim_t_untrail, _sim_t(r))))
-    return _push(1, untrail_r, l, (p[0], (MARKER, p[1])))
+    return _push(1, _sim_t(r), l, (p[0], (MARKER, p[1])))
 
 
 def _sim_t_log(r, k, p):
     return Node(1, Put((p[0], (r, p[1])), Node(0, MUpdate(r, _sim_t(k)))))
 
 
-def _sim_t_untrail(k, p):
-    ss, (x, trail) = p
-    if x is MARKER:
-        return Node(1, Put((ss, trail), k))
-    return Node(1, Put((ss, trail), Node(0, MRestore(
-        x, Node(1, Get(partial(_sim_t_untrail, k)))))))
+def _sim_t_pop(xs, stack, trail):
+    """simulate_t_tree's pop: untrail back to the top branch's MARKER, then
+    restore the deltas, the newest first, and go on with the branch; on an
+    empty stack, go on with ret ()."""
+    if stack is None:
+        return Node(1, Put(((xs, None), trail), _UNIT))
+    q, stack = stack
+    deltas = []
+    x, trail = trail
+    while x is not MARKER:
+        deltas.append(x)
+        x, trail = trail
+    for x in reversed(deltas):
+        q = Node(0, MRestore(x, q))
+    return Node(1, Put(((xs, stack), trail), q))
 
 
 # The choicepoint steps of both folds, on p = ((xs, stack), other) at index
-# at, other being the user state or the trail.
+# at, other being the user state or the trail.  A leaf pops in the same
+# step that records it.
 
 def _leaf(at, x):
     return Node(at, Get(partial(_append, at, x)))
@@ -321,7 +358,7 @@ def _leaf(at, x):
 
 def _append(at, x, p):
     (xs, stack), other = p
-    return Node(at, Put((((x, xs), stack), other), _POP[at]))
+    return (_sim_t_pop if at else _sim_pop)((x, xs), stack, other)
 
 
 def _push(at, r, l, p):
@@ -332,10 +369,11 @@ def _push(at, r, l, p):
 def _pop(at, p):
     (xs, stack), other = p
     if stack is None:
-        return Leaf(())
-    return Node(at, Put(((xs, stack[1]), other), stack[0]))
+        return _UNIT
+    return (_sim_t_pop if at else _sim_pop)(xs, stack, other)
 
 
+_UNIT = Leaf(())
 _POP = (Node(0, Get(partial(_pop, 0))), Node(1, Get(partial(_pop, 1))))
 _LEAF = (partial(_leaf, 0), partial(_leaf, 1))
 

@@ -234,6 +234,110 @@ def test_t_simulate_row_catches_a_fused_put_bug(monkeypatch, seed):
         == []
 
 
+def _sim_pop_keeping_first(xs, stack, u):
+    """simulate_tree's pop with a seeded bug: of a run of restore entries,
+    it applies the first it passes, the newest, and skips the rest."""
+    first = True
+    while stack is not None:
+        q, stack = stack
+        if q.__class__ is not tuple:
+            return Node(0, Put(((xs, stack), u), q))
+        if first:
+            first, u = False, q[0]
+    return Node(0, Put(((xs, None), u), Leaf(())))
+
+
+def _sim_t_pop_one_short(xs, stack, trail):
+    """simulate_t_tree's pop with a seeded bug: it stops untrailing one
+    delta early, so the oldest delta above the marker is never restored."""
+    if stack is None:
+        return Node(1, Put(((xs, None), trail), Leaf(())))
+    q, stack = stack
+    deltas = []
+    x, trail = trail
+    while x is not MARKER:
+        deltas.append(x)
+        x, trail = trail
+    for x in reversed(deltas[:-1]):
+        q = Node(0, MRestore(x, q))
+    return Node(1, Put(((xs, stack), trail), q))
+
+
+@pytest.mark.parametrize("suite, name, pop", [
+    ("T-simulate", "_sim_pop", _sim_pop_keeping_first),
+    ("T-simulateT", "_sim_t_pop", _sim_t_pop_one_short)],
+    ids=["sim", "simT"])
+@pytest.mark.parametrize("seed", [7, 42])
+def test_theorem_row_catches_a_fused_pop_bug(monkeypatch, suite, name, pop,
+                                             seed):
+    row = difftest._agree(*difftest.THEOREMS[suite], 6)
+    monkeypatch.setattr(translations, name, pop)
+    report = difftest._trials(suite, row, 1000, seed, first=True)
+    assert "firstFailingTrial" in report
+    monkeypatch.undo()
+    # Unbroken, the same trials agree.
+    trials = report["firstFailingTrial"] + 1
+    assert difftest._trials(suite, row, trials, seed)["failures"] == []
+
+
+def _run_program(rng, layout, depth):
+    """A tree whose every Or and leaf sits under a run of 1-300 puts (SN,
+    SN3) or updates (MN, MN3), a third-family get or put at index 2
+    interleaved in SN3 and MN3, so that a pop crosses as many restore
+    entries or trail deltas as the run is long."""
+    write, read = ((put, get) if layout[0][0] == "state"
+                   else (update, mget))
+    if depth == 0:
+        t = read(Leaf) if rng.random() < 0.8 else fail()
+    else:
+        t = or_(_run_program(rng, layout, depth - 1),
+                _run_program(rng, layout, depth - 1))
+    for _ in range(rng.randint(1, 300)):
+        if len(layout[0]) == 3 and rng.random() < 0.05:
+            t = (put(rng.randint(-3, 3), 2, t) if rng.random() < 0.5
+                 else get(lambda y, t=t: seq(put(y + 1, 2), t), 2))
+        t = write(rng.randint(-3, 3), 0, t)
+    return t
+
+
+def _run_programs(layout, seed, n=12):
+    rng = random.Random(seed)
+    for _ in range(n):
+        yield _run_program(rng, layout, rng.randint(0, 3)), rng.randint(-3, 3)
+
+
+@pytest.mark.parametrize("layout", [SN, SN3], ids=["SN", "SN3"])
+def test_simulate_after_runs_of_puts_equals_paper_composition(layout):
+    # The final choicepoints and state of the one fold, the staged
+    # composition and the paper's, each pop having crossed a long run of
+    # restore entries.
+    third = len(layout[0]) == 3
+    for t, s0 in _run_programs(layout, seed=17):
+        staged = states2state(nondet2state(local2global(t), at=1))
+        (a, (s, cs)), s3 = _close(h_state(staged, (s0, (None, None))), third)
+        paper = _close(h_state(simulate_paper_tree(t), ((None, None), s0)),
+                       third)
+        assert ((a, (cs, s)), s3) == paper
+        assert _close(h_state(simulate_tree(t), ((None, None), s0)),
+                      third) == paper
+
+
+@pytest.mark.parametrize("layout", [MN, MN3], ids=["MN", "MN3"])
+def test_simulate_t_after_runs_of_updates_equals_paper_composition(layout):
+    # The final choicepoints, trail and state of the one fold, the staged
+    # composition and the paper's, each pop having untrailed a long run of
+    # deltas.
+    third = len(layout[0]) == 3
+    init = ((None, None), None)
+    for t, s0 in _run_programs(layout, seed=18):
+        staged = states2state(nondet2state(local2trail(t), at=1), at=1)
+        paper = _close(h_state(h_modify(simulate_t_paper_tree(t), s0),
+                               init), third)
+        assert _close(h_state(h_modify(staged, s0), init), third) == paper
+        assert _close(h_state(h_modify(simulate_t_tree(t), s0), init),
+                      third) == paper
+
+
 @pytest.mark.parametrize("layout, handler",
                          [(SN, h_state), (SN3, h_state),
                           (MN, h_modify), (MN3, h_modify)],

@@ -79,3 +79,30 @@ def test_metrics_are_the_benchmarks_end_to_end_metrics():
     metrics = dict(_tool().end_to_end_metrics())
     assert metrics["wall_s"] == "lower"
     assert metrics["ok_ratio"] == "higher"
+
+
+def test_several_workloads_print_one_table_each(monkeypatch, capsys):
+    tool = _tool()
+    calls = []
+
+    def run(checkout, workload, args):
+        calls.append((workload, checkout))
+        wall = {"chains": 0.3, "queens": 2.0}[workload]
+        return tool.result_of(_stdout(wall * (0.8 if checkout == "c" else 1)))
+
+    monkeypatch.setattr(tool, "run", run)
+    monkeypatch.setattr(tool, "end_to_end_metrics", lambda: METRICS)
+    tool.main(["p", "c", "--workload", "chains", "queens", "--pairs", "2",
+               "--seconds", "1"])
+    # Round by round, one pair of each workload, the parent first in even
+    # rounds and the change first in odd ones.
+    assert calls == [("chains", "p"), ("chains", "c"), ("queens", "p"),
+                     ("queens", "c"), ("chains", "c"), ("chains", "p"),
+                     ("queens", "c"), ("queens", "p")]
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 * (2 + len(METRICS))
+    assert out[0] == "pairs chains: 2 pairs, parent p, change c"
+    assert out[4] == "pairs queens: 2 pairs, parent p, change c"
+    for head in (0, 4):
+        wall = out[head + 2].split()
+        assert wall[0] == "wall_s" and wall[-3:] == ["0.800", "2/2", "yes"]

@@ -1,5 +1,6 @@
 """Translations: putR, choicepoint-state machines, state merging, trails."""
 
+import ast
 import os
 import random
 import subprocess
@@ -299,6 +300,56 @@ def test_simulations_take_deep_inputs_without_raised_limit(name):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+# A 40 000-long run of puts or updates under an or_, so that the one pop
+# at its leaf crosses 40 000 restore entries (sim) or trail deltas (simT),
+# under the default limit too.  Each leaf returns the state, so the local
+# row's (answer, state) pairs give both the answers and the states.
+_DEEP_POP = {
+    "sim": ("put", "get", "h_state(simulate_tree(t), ((None, None), 5))",
+            "state"),
+    "simT": ("update", "mget", "h_state(h_modify(simulate_t_tree(t), 5), "
+             "((None, None), None))", "modify"),
+}
+
+
+@pytest.mark.parametrize("name", list(_DEEP_POP))
+def test_one_pop_crosses_a_deep_run_without_raised_limit(name):
+    op, close, fused, family = _DEEP_POP[name]
+    code = (
+        "import sys\n"
+        "import effsim\n"
+        "sys.setrecursionlimit(1000)\n"
+        "from effsim.core import Leaf, seq, or_, %s as op, %s as close\n"
+        "from effsim.handlers import h_state, h_modify, h_nil, run_stack\n"
+        "from effsim.handlers import from_cells\n"
+        "from effsim.translations import simulate_tree, simulate_t_tree\n"
+        "chain = close(Leaf)\n"
+        "for v in range(40000, 0, -1):\n"
+        "    chain = seq(op(v), chain)\n"
+        "t = or_(chain, op(7, k=close(Leaf)))\n"
+        "local = h_nil(run_stack(t, ((%r, 0), ('nondet', 1)), (5,)))\n"
+        "a, ((xs, stack), other) = h_nil(%s)\n"
+        "print(repr((local, from_cells(xs), stack, a, from_cells(other)\n"
+        "            if %r == 'modify' else other)))\n"
+        % (op, close, family, fused, family))
+    src = os.path.dirname(os.path.dirname(effsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    local, xs, stack, a, other = ast.literal_eval(proc.stdout)
+    assert xs == [x for x, _s in local] and stack is None
+    if name == "sim":
+        # put 7's restore entry is crossed by the last pop: u is back to 5.
+        assert local == [(40000, 40000), (7, 7)]
+        assert (a, other) == ((), 5)
+    else:
+        # Nothing pops the right branch's delta: the trail ends with it,
+        # and the user state is the local row's last state.
+        assert local == [(800020005, 800020005), (12, 12)]
+        assert a == ((), local[-1][1]) and other == [7]
 
 
 # Each Get continuation a translation builds is a step function partially

@@ -1,16 +1,17 @@
-"""Compare two checkouts on one perfbench workload in alternating pairs.
+"""Compare two checkouts on perfbench workloads in alternating pairs.
 
-    python3 tools/pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N
-                           [--seed S] [--seconds T]
+    python3 tools/pairs.py PARENT_DIR CHANGE_DIR --workload W [W ...]
+                           --pairs N [--seed S] [--seconds T]
 
 runs `python3 perfbench/run.py --workload W [--seed S] [--seconds T]` from
-the root of each checkout, N times each.  Pair i runs the parent first when
-i is even and the change first when it is odd, so that a drift of the host
-falls on both sides alike.  It then prints, for each end-to-end metric of
-BENCHMARK.json, the median and quartiles of each side, the ratio of the
-medians (change / parent), how many pairs the change won (strictly better,
-in the metric's direction), and whether the medians differ by more than the
-parent's interquartile range.
+the root of each checkout, N times each, for each workload W.  Round i runs
+one pair of every workload in turn, the parent first when i is even and the
+change first when it is odd, so that a drift of the host falls on both
+sides and on every workload alike.  It then prints one table per workload:
+for each end-to-end metric of BENCHMARK.json, the median and quartiles of
+each side, the ratio of the medians (change / parent), how many pairs the
+change won (strictly better, in the metric's direction), and whether the
+medians differ by more than the parent's interquartile range.
 """
 
 import argparse
@@ -79,8 +80,8 @@ def report(pairs, rows):
     return lines
 
 
-def run(checkout, args):
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload]
+def run(checkout, workload, args):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload]
     for flag, value in (("--seed", args.seed), ("--seconds", args.seconds)):
         if value is not None:
             cmd += [flag, str(value)]
@@ -96,25 +97,29 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, nargs="+", action="extend")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int)
     ap.add_argument("--seconds", type=float)
     args = ap.parse_args(argv)
-    pairs = []
+    pairs = {w: [] for w in args.workload}
     for i in range(args.pairs):
         order = (0, 1) if i % 2 == 0 else (1, 0)
-        pair = [None, None]
-        for side in order:
-            pair[side] = run((args.parent, args.change)[side], args)
-        pairs.append(tuple(pair))
-        print("pairs: %d/%d done, wall_s %.4f -> %.4f" % (
-            i + 1, args.pairs, *(r["metrics"]["wall_s"]["value"]
-                                 for r in pair)), file=sys.stderr)
-    print("pairs %s: %d pairs, parent %s, change %s"
-          % (args.workload, args.pairs, args.parent, args.change))
-    for line in report(pairs, summarize(pairs, end_to_end_metrics())):
-        print(line)
+        for workload in pairs:
+            pair = [None, None]
+            for side in order:
+                pair[side] = run((args.parent, args.change)[side], workload,
+                                 args)
+            pairs[workload].append(tuple(pair))
+            print("pairs: %s %d/%d done, wall_s %.4f -> %.4f" % (
+                workload, i + 1, args.pairs,
+                *(r["metrics"]["wall_s"]["value"] for r in pair)),
+                file=sys.stderr)
+    for workload, done in pairs.items():
+        print("pairs %s: %d pairs, parent %s, change %s"
+              % (workload, args.pairs, args.parent, args.change))
+        for line in report(done, summarize(done, end_to_end_metrics())):
+            print(line)
 
 
 if __name__ == "__main__":
