@@ -16,10 +16,11 @@ trees lazy in the state; all other children are concrete subtrees.
 A node whose children are built late is one private Node subclass,
 _Deferred(idx, op, f): the node Node(idx, op.map_children(f)), with f mapped
 on the first read of its op, which is then cached.  Haskell evaluates the
-paper's folds lazily; this node does the same for bind, for tree_map and
-for the forwarding of an operation that a handler, machine or fused
-translation does not own, so none of them recurses on a long chain of
-operations.  Only fold with a rec maps every child at once, in the eager
+paper's folds lazily; this node does the same for bind, for tree_map, for
+the forwarding of an operation that a handler, machine or fused
+translation does not own, and for the updates of a run whose deltas
+translations.simulate_t_tree has logged, so none of them recurses on a
+long chain of operations.  Only fold with a rec maps every child at once, in the eager
 translations local2global, local2global_m and local2trail.
 
 bind builds only the top node of its result.  Each child of that node is

@@ -37,6 +37,14 @@ simulate_tree pushes the restore entry (u,) for each put, where the staged
 form pushes a restoring program, and one pop applies a whole run of them as
 one write (the put-put law).  simulate_t_tree's pop untrails back to the
 branch's MARKER in one step, where the staged untrail takes one per delta.
+
+The folds also take each run of same-family work in one step, by the laws
+that the laws:state and laws:nondet suites check (equational reasoning as
+in Gibbons & Hinze, Just Do It, 2011): a run of puts is one restore entry
+and one write (put-put), a run of updates logs all its deltas in one write,
+and the Or step walks the right spine of its or chain, skipping each fail
+arm (fail | r = r) and recording each ret arm without a push or a pop.  So
+the state handler sees one get and one put per run, not one per node.
 """
 
 from functools import partial
@@ -212,11 +220,30 @@ def simulate_tree(t):
         op@i, i > 1  op@(i - 1)
 
     By the put-put law the staged run of restores, get p; put (p[0], u);
-    POP for each entry, is that one put.  The fold translates the top node
-    only; each child is translated when the run reaches the step that
-    continues with it.  _sim_get translates k u, _sim_or l and then r as it
-    pushes it, _sim_put k, and a forwarded operation, core's deferred node,
-    its children when the next handler reads it.
+    POP for each entry, is that one put.  Three law rows take a run of
+    nodes in the one step of its first node (_or is shared with
+    simulate_t_tree):
+
+        Put s1 (... Put sn k)@0   get p; put ((xs, ((u,), stack)), sn); k
+                                  (put-put: one restore entry, one write)
+        Or fail r@1               r, walked on (fail | r = r)
+        Or (ret x) r@1            r, walked on with x recorded (push r;
+                                  record x; pop = record x; r)
+
+    The walk goes down the right spine of the or chain.  It stops at the
+    first Or l' r' whose left arm is neither fail nor a ret, which it
+    pushes as the Or row does: get p; put ((xs', (r', stack)), u); l', xs'
+    being the results it recorded.  Or it stops at a right child r' that
+    is not an Or@1: get p; put ((xs', stack), u); r', or r' alone if it
+    recorded nothing, since the state is then unchanged.
+
+    The fold translates the top node only; each child is translated when
+    the run reaches the step that continues with it.  _sim_get translates
+    k u, _or l' and then r' as it pushes it, _sim_put the k after its run,
+    and a forwarded operation, core's deferred node, its children when the
+    next handler reads it.  Each walk is a loop that reads the op only of a
+    node the run reaches next, and stops at any other family or index, so
+    forwarding and stray operations behave as one node at a time does.
     """
     return _sim(t)
 
@@ -238,7 +265,7 @@ def _sim_alg(idx, op):
     if isinstance(op, Fail):
         return _POP[0]
     if isinstance(op, Or):
-        return Node(0, Get(partial(_sim_or, op.r, op.l)))
+        return Node(0, Get(partial(_or, 0, op.r, op.l)))
     raise ValueError("nondet2state: non-nondet operation %s at index 1"
                      % type(op).__name__)
 
@@ -247,12 +274,14 @@ def _sim_get(k, p):
     return _sim(k(p[1]))
 
 
-def _sim_or(r, l, p):
-    l = _sim(l)
-    return _push(0, _sim(r), l, p)
-
-
 def _sim_put(s, k, p):
+    """A run of puts: one restore entry, the state before the run, and the
+    run's last value (put-put)."""
+    while k.__class__ is not Leaf and k.idx == 0:
+        op = k.op
+        if op.__class__ is not Put:
+            break
+        s, k = op.s, op.k
     return _push(0, (p[1],), _sim(k), (p[0], s))
 
 
@@ -293,14 +322,23 @@ def simulate_t_tree(t):
         MUpdate r k@0   get p; put ((xs, stack), (r, trail)); update r; k
         op@i            op@i, for every other operation
 
+    and its law rows, the Or walk shared with simulate_tree (pushing
+    (MARKER, trail) with l', and no MARKER for a ret or fail arm) and
+
+        MUpdate r1 (... MUpdate rn k)@0
+                        get p; put ((xs, stack), (rn, ... (r1, trail)));
+                        update r1; ...; update rn; k
+
     The stack holds the translated right branch itself: its pop untrails
     back to the branch's MARKER in one step, where the staged untrail reads
     and writes the trail once per delta.  The trail never drains before the
     marker: r is pushed in the same put as its MARKER.
 
-    As in simulate_tree, the fold translates the top node only.
-    _sim_t_push translates l and then r, _sim_t_log k, and a forwarded
-    operation, MGet included, its children as simulate_tree's do.
+    As in simulate_tree, the fold translates the top node only.  _or
+    translates l' and then r', _sim_t_logged each later update of a run
+    and then the k after it, as the modify handler reaches them, and a
+    forwarded operation, MGet included, its children as simulate_tree's do.
+    Undo is generic, so the deltas of a run are never combined.
     """
     return _sim_t(t)
 
@@ -314,7 +352,7 @@ def _sim_t_alg(idx, op):
         if isinstance(op, Fail):
             return _POP[1]
         if isinstance(op, Or):
-            return Node(1, Get(partial(_sim_t_push, op.r, op.l)))
+            return Node(1, Get(partial(_or, 1, op.r, op.l)))
         raise ValueError("nondet2state: non-nondet operation %s at index 1"
                          % type(op).__name__)
     if idx == 0 and isinstance(op, MUpdate):
@@ -322,13 +360,25 @@ def _sim_t_alg(idx, op):
     return _Deferred(idx, op, _sim_t)
 
 
-def _sim_t_push(r, l, p):
-    l = _sim_t(l)
-    return _push(1, _sim_t(r), l, (p[0], (MARKER, p[1])))
-
-
 def _sim_t_log(r, k, p):
-    return Node(1, Put((p[0], (r, p[1])), Node(0, MUpdate(r, _sim_t(k)))))
+    """A run of updates: every delta logged in one put, the newest first,
+    then the updates, each applied by the modify handler."""
+    trail, t = (r, p[1]), k
+    while t.__class__ is not Leaf and t.idx == 0:
+        op = t.op
+        if op.__class__ is not MUpdate:
+            break
+        trail, t = (op.r, trail), op.k
+    return Node(1, Put((p[0], trail), Node(0, MUpdate(r, _sim_t_logged(k)))))
+
+
+def _sim_t_logged(t):
+    """The rest of a run whose deltas are logged: its updates as they are,
+    each built when the modify handler reads it, then the node after it
+    translated."""
+    if t.__class__ is not Leaf and t.idx == 0 and t.op.__class__ is MUpdate:
+        return _Deferred(0, t.op, _sim_t_logged)
+    return _sim_t(t)
 
 
 def _sim_t_pop(xs, stack, trail):
@@ -359,6 +409,31 @@ def _leaf(at, x):
 def _append(at, x, p):
     (xs, stack), other = p
     return (_sim_t_pop if at else _sim_pop)((x, xs), stack, other)
+
+
+def _or(at, r, l, p):
+    """Both folds' Or step: walk the right spine of the or chain from Or l
+    r, skipping each fail arm (fail | r = r) and recording each ret x arm
+    (push r; record x; pop = record x; r).  At the first other left arm,
+    one put records the results and pushes the arm's right sibling, and the
+    run goes on with the arm.  At a right child that is not an Or@1, one
+    put records the results, none if there are no new ones, and the run
+    goes on with the child."""
+    tr = _sim_t if at else _sim
+    (xs, stack), other = p
+    ys = xs
+    while True:
+        if l.__class__ is Leaf:
+            ys = (l.value, ys)
+        elif l.idx != 1 or l.op.__class__ is not Fail:
+            l = tr(l)
+            return _push(at, tr(r), l,
+                         ((ys, stack), (MARKER, other) if at else other))
+        if r.__class__ is Leaf or r.idx != 1 or r.op.__class__ is not Or:
+            break
+        l, r = r.op.l, r.op.r
+    r = tr(r)
+    return r if ys is xs else Node(at, Put(((ys, stack), other), r))
 
 
 def _push(at, r, l, p):

@@ -21,7 +21,8 @@ import pytest
 from effsim import difftest, translations
 from effsim.core import (
     Leaf, Node, Get, Put, Fail, Or, MGet, MUpdate, MRestore, get, put, fail,
-    or_, seq, side, mget, update, restore, fold, tree_map, show_tree,
+    or_, seq, side, mget, update, restore, bind, choose, fold, tree_map,
+    show_tree,
 )
 from effsim.difftest import gen_program, lower
 from effsim.handlers import (
@@ -336,6 +337,185 @@ def test_simulate_t_after_runs_of_updates_equals_paper_composition(layout):
         assert _close(h_state(h_modify(staged, s0), init), third) == paper
         assert _close(h_state(h_modify(simulate_t_tree(t), s0), init),
                       third) == paper
+
+
+# ---------------------------------------------------------------------------
+# The law rows of the fused folds: a run of puts or updates and an or chain
+# of ret and fail arms, each taken in one step.
+# ---------------------------------------------------------------------------
+
+def _law_program(rng, layout, depth):
+    """A tree of the shapes the law rows take in one step: or chains of ret,
+    fail and other arms; choose(xs) >>= f, its arms deferred by bind, with f
+    giving fail, ret or a read; and runs of 1-20 puts (SN, SN3) or updates
+    (MN, MN3), a third-family get or put at index 2 interleaved in SN3 and
+    MN3."""
+    write, read = ((put, get) if layout[0][0] == "state"
+                   else (update, mget))
+    if depth == 0:
+        return read(Leaf) if rng.random() < 0.8 else fail()
+    shape = rng.randrange(3)
+    if shape == 0:
+        t = fail() if rng.random() < 0.7 else \
+            _law_program(rng, layout, depth - 1)
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.randrange(3)
+            t = or_(Leaf(rng.randint(-3, 3)) if kind == 0 else fail()
+                    if kind == 1 else _law_program(rng, layout, depth - 1), t)
+        return t
+    k = _law_program(rng, layout, depth - 1)
+    if shape == 1:
+        kinds = [rng.randrange(3) for _ in range(rng.randint(1, 6))]
+        return bind(choose(range(len(kinds))), lambda x: (
+            fail(), Leaf(x),
+            read(lambda s: bind(k, lambda y: Leaf((x, s, y)))))[kinds[x]])
+    for _ in range(rng.randint(1, 20)):
+        if len(layout[0]) == 3 and rng.random() < 0.2:
+            k = (put(rng.randint(-3, 3), 2, k) if rng.random() < 0.5
+                 else get(lambda y, k=k: seq(put(y + 1, 2), k), 2))
+        k = write(rng.randint(-3, 3), 0, k)
+    return k
+
+
+def _law_programs(layout, seed, n=20):
+    rng = random.Random(seed)
+    for _ in range(n):
+        yield _law_program(rng, layout, rng.randint(1, 3)), rng.randint(-3, 3)
+
+
+def _fused_sim(t, s):
+    return h_state(simulate_tree(t), ((None, None), s))
+
+
+def _staged_sim(t, s):
+    return h_state(states2state(nondet2state(local2global(t), at=1)),
+                   (s, (None, None)))
+
+
+def _fused_sim_t(t, s):
+    return h_state(h_modify(simulate_t_tree(t), s), ((None, None), None))
+
+
+def _staged_sim_t(t, s):
+    staged = states2state(nondet2state(local2trail(t), at=1), at=1)
+    return h_state(h_modify(staged, s), ((None, None), None))
+
+
+@pytest.mark.parametrize("layout", [SN, SN3], ids=["SN", "SN3"])
+def test_simulate_law_rows_equal_paper_composition(layout):
+    # The final results, choicepoints and state of the one fold, the staged
+    # composition and the paper's, on runs of puts and or chains.
+    third = len(layout[0]) == 3
+    for t, s0 in _law_programs(layout, seed=19):
+        (a, (s, cs)), s3 = _close(_staged_sim(t, s0), third)
+        paper = _close(h_state(simulate_paper_tree(t), ((None, None), s0)),
+                       third)
+        assert ((a, (cs, s)), s3) == paper
+        assert _close(_fused_sim(t, s0), third) == paper
+
+
+@pytest.mark.parametrize("layout", [MN, MN3], ids=["MN", "MN3"])
+def test_simulate_t_law_rows_equal_paper_composition(layout):
+    # The final results, choicepoints, trail and state of the one fold, the
+    # staged composition and the paper's, on runs of updates and or chains.
+    third = len(layout[0]) == 3
+    for t, s0 in _law_programs(layout, seed=20):
+        paper = _close(h_state(h_modify(simulate_t_paper_tree(t), s0),
+                               ((None, None), None)), third)
+        assert _close(_staged_sim_t(t, s0), third) == paper
+        assert _close(_fused_sim_t(t, s0), third) == paper
+
+
+_NONDET_STRAY = "nondet2state: non-nondet operation Put at index 1"
+
+
+@pytest.mark.parametrize("fused, staged, t, message", [
+    (_fused_sim, _staged_sim, put(1, 0, put(2, 0, or_(Leaf(1), Leaf(2), 0))),
+     "states2state: non-state operation Or at index 0"),
+    (_fused_sim, _staged_sim,
+     or_(Leaf(1), or_(fail(), or_(Leaf(2), put(1, at=1)))), _NONDET_STRAY),
+    (_fused_sim, _staged_sim,
+     or_(fail(), or_(Leaf(1), or_(put(1, at=1), Leaf(2)))), _NONDET_STRAY),
+    (_fused_sim_t, _staged_sim_t, update(1, 0, update(2, 0, get(Leaf))),
+     "h_modify: non-modify operation Get at index 0"),
+    (_fused_sim_t, _staged_sim_t,
+     or_(Leaf(1), or_(fail(), or_(Leaf(2), put(1, at=1)))), _NONDET_STRAY),
+    (_fused_sim_t, _staged_sim_t,
+     or_(fail(), or_(Leaf(1), or_(put(1, at=1), Leaf(2)))), _NONDET_STRAY),
+], ids=["sim-put-run", "sim-chain-end", "sim-chain-arm", "simT-update-run",
+        "simT-chain-end", "simT-chain-arm"])
+def test_stray_inside_a_run_or_chain_raises_staged_message(fused, staged, t,
+                                                           message):
+    assert _outcome(fused, t) == _outcome(staged, t) == ("error", message)
+
+
+def _sim_put_saving_last(s, k, p):
+    """simulate_tree's Put step with a seeded bug: a run of puts saves the
+    state before its last put, not the state before the run."""
+    T = translations
+    u = p[1]
+    while k.__class__ is not Leaf and k.idx == 0 and isinstance(k.op, Put):
+        u, s, k = s, k.op.s, k.op.k
+    return T._push(0, (u,), T._sim(k), (p[0], s))
+
+
+def _or_dropping_ret_after_fail(at, r, l, p):
+    """The Or walk of both folds with a seeded bug: a ret arm right after a
+    fail arm is skipped, not recorded."""
+    T = translations
+    tr = T._sim_t if at else T._sim
+    (xs, stack), other = p
+    ys, after_fail = xs, False
+    while True:
+        if l.__class__ is Leaf:
+            if not after_fail:
+                ys = (l.value, ys)
+            after_fail = False
+        elif l.idx != 1 or not isinstance(l.op, Fail):
+            l = tr(l)
+            return T._push(at, tr(r), l,
+                           ((ys, stack), (MARKER, other) if at else other))
+        else:
+            after_fail = True
+        if r.__class__ is Leaf or r.idx != 1 or not isinstance(r.op, Or):
+            break
+        l, r = r.op.l, r.op.r
+    r = tr(r)
+    return r if ys is xs else Node(at, Put(((ys, stack), other), r))
+
+
+def _sim_t_log_first_only(r, k, p):
+    """simulate_t_tree's update step with a seeded bug: a run of updates
+    logs only its first delta on the trail, so a pop across the run
+    restores that one alone."""
+    rs = [r]
+    while k.__class__ is not Leaf and k.idx == 0 and \
+            isinstance(k.op, MUpdate):
+        rs.append(k.op.r)
+        k = k.op.k
+    k = translations._sim_t(k)
+    for x in reversed(rs):
+        k = Node(0, MUpdate(x, k))
+    return Node(1, Put((p[0], (r, p[1])), k))
+
+
+@pytest.mark.parametrize("suite, name, step", [
+    ("T-simulate", "_sim_put", _sim_put_saving_last),
+    ("T-simulate", "_or", _or_dropping_ret_after_fail),
+    ("T-simulateT", "_or", _or_dropping_ret_after_fail),
+    ("T-simulateT", "_sim_t_log", _sim_t_log_first_only)],
+    ids=["sim-put-run", "sim-or-walk", "simT-or-walk", "simT-update-run"])
+@pytest.mark.parametrize("seed", [7, 42])
+def test_theorem_row_catches_a_fused_law_bug(monkeypatch, suite, name, step,
+                                             seed):
+    row = difftest._agree(*difftest.THEOREMS[suite], 6)
+    monkeypatch.setattr(translations, name, step)
+    report = difftest._trials(suite, row, 1000, seed, first=True)
+    assert "firstFailingTrial" in report
+    monkeypatch.undo()
+    # Unbroken, the same trials agree.
+    trials = report["firstFailingTrial"] + 1
+    assert difftest._trials(suite, row, trials, seed)["failures"] == []
 
 
 @pytest.mark.parametrize("layout, handler",

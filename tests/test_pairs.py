@@ -100,9 +100,43 @@ def test_several_workloads_print_one_table_each(monkeypatch, capsys):
                      ("queens", "c"), ("chains", "c"), ("chains", "p"),
                      ("queens", "c"), ("queens", "p")]
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 2 * (2 + len(METRICS))
+    assert len(out) == 2 * (3 + len(METRICS))
     assert out[0] == "pairs chains: 2 pairs, parent p, change c"
-    assert out[4] == "pairs queens: 2 pairs, parent p, change c"
-    for head in (0, 4):
+    assert out[5] == "pairs queens: 2 pairs, parent p, change c"
+    for head in (0, 5):
         wall = out[head + 2].split()
         assert wall[0] == "wall_s" and wall[-3:] == ["0.800", "2/2", "yes"]
+        # Each table ends with the metrics over their bounds: none here.
+        assert out[head + 4] == "over bound: none"
+
+
+def test_metrics_worse_than_their_bound_are_named():
+    tool = _tool()
+    bounds = {"wall_s": 0.25, "ok_ratio": 0.01}
+    # wall_s 2.0 -> 2.6 is 1.3x, over its bound of 0.25; ok_ratio 1.0 ->
+    # 0.995 is within its bound of 0.01.
+    pairs = _pairs(tool, [((2.0, 1.0), (2.6, 0.995)),
+                          ((2.0, 1.0), (2.6, 0.995))])
+    rows = tool.summarize(pairs, METRICS, bounds)
+    assert [r["over"] for r in rows] == [True, False]
+    assert tool.over_bounds(rows) == "over bound: wall_s"
+    # ok_ratio 1.0 -> 0.98 is over its bound too; wall_s 2.0 -> 2.5 is
+    # exactly 1.25x, which is not more than its bound.
+    pairs = _pairs(tool, [((2.0, 1.0), (2.5, 0.98))])
+    rows = tool.summarize(pairs, METRICS, bounds)
+    assert tool.over_bounds(rows) == "over bound: ok_ratio"
+    # Better medians, and metrics without a bound, are never over.
+    pairs = _pairs(tool, [((2.0, 0.9), (1.0, 1.0))])
+    assert tool.over_bounds(tool.summarize(pairs, METRICS, bounds)) \
+        == "over bound: none"
+    pairs = _pairs(tool, [((2.0, 1.0), (9.0, 0.0))])
+    assert tool.over_bounds(tool.summarize(pairs, METRICS)) \
+        == "over bound: none"
+
+
+def test_bounds_are_the_benchmarks_end_to_end_bounds():
+    tool = _tool()
+    bounds = tool.end_to_end_bounds()
+    assert set(bounds) == {name for name, _better in
+                           tool.end_to_end_metrics()}
+    assert bounds["wall_s"] == 0.25 and bounds["ok_ratio"] == 0.01

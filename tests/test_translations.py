@@ -352,6 +352,64 @@ def test_one_pop_crosses_a_deep_run_without_raised_limit(name):
         assert a == ((), local[-1][1]) and other == [7]
 
 
+# Two deep shapes that no law row merges, under the default limit too:
+# 40 000 puts or updates, each followed by a read, so that the one pop at
+# the first branch's leaf really crosses 40 000 restore entries (sim) or
+# trail deltas (simT); and a 40 000-way or chain of ret, fail and read arms,
+# each read arm writing and reading again.
+@pytest.mark.parametrize("name", list(_DEEP_POP))
+def test_deep_broken_runs_and_mixed_or_chain_without_raised_limit(name):
+    op, close, fused, family = _DEEP_POP[name]
+    code = (
+        "import sys\n"
+        "import effsim\n"
+        "sys.setrecursionlimit(1000)\n"
+        "from effsim.core import Leaf, or_, fail, %s as op, %s as close\n"
+        "from effsim.handlers import h_state, h_modify, h_nil, run_stack\n"
+        "from effsim.handlers import from_cells\n"
+        "from effsim.translations import simulate_tree, simulate_t_tree\n"
+        "def run(t):\n"
+        "    local = h_nil(run_stack(t, ((%r, 0), ('nondet', 1)), (5,)))\n"
+        "    a, ((xs, stack), other) = h_nil(%s)\n"
+        "    return (local, from_cells(xs), stack, a, from_cells(other)\n"
+        "            if %r == 'modify' else other)\n"
+        "chain = close(Leaf)\n"
+        "for v in range(40000, 0, -1):\n"
+        "    chain = op(v, 0, close(lambda _s, c=chain: c))\n"
+        "print(repr(run(or_(chain, op(7, 0, close(Leaf))))))\n"
+        "arms = fail()\n"
+        "for i in range(40000, 0, -1):\n"
+        "    arms = or_((fail(), Leaf(i), close(lambda s, i=i: op(\n"
+        "        i, 0, close(lambda s2, s=s: Leaf((i, s, s2))))))[i %% 3],\n"
+        "               arms)\n"
+        "print(repr(run(arms)))\n"
+        % (op, close, family, fused, family))
+    src = os.path.dirname(os.path.dirname(effsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs, chain = map(ast.literal_eval, proc.stdout.splitlines())
+    for local, xs, stack, a, other in (runs, chain):
+        assert xs == [x for x, _s in local] and stack is None
+    local, _xs, _stack, a, other = runs
+    if name == "sim":
+        # The last pop crosses put 7's restore entry: u is back to 5.
+        assert local == [(40000, 40000), (7, 7)]
+        assert (a, other) == ((), 5)
+    else:
+        # Nothing pops the right branch's delta: the trail ends with it.
+        assert local == [(800020005, 800020005), (12, 12)]
+        assert a == ((), 12) and other == [7]
+    # Each read arm runs from 5 and writes i (sim) or 5 + i (simT); the
+    # pop that leaves it undoes that write.
+    local, _xs, _stack, a, other = chain
+    w = (lambda i: i) if name == "sim" else (lambda i: 5 + i)
+    assert local == [(i, 5) if i % 3 == 1 else ((i, 5, w(i)), w(i))
+                     for i in range(1, 40001) if i % 3 != 0]
+    assert (a, other) == (((), 5) if name == "sim" else (((), 5), []))
+
+
 # Each Get continuation a translation builds is a step function partially
 # applied to what it captured; a handler may apply it more than once, and
 # each application must build the tree its own state calls for.

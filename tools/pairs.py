@@ -11,7 +11,10 @@ sides and on every workload alike.  It then prints one table per workload:
 for each end-to-end metric of BENCHMARK.json, the median and quartiles of
 each side, the ratio of the medians (change / parent), how many pairs the
 change won (strictly better, in the metric's direction), and whether the
-medians differ by more than the parent's interquartile range.
+medians differ by more than the parent's interquartile range.  Each table
+ends with one line that names every metric whose change median is worse
+than the parent's by more than the metric's bound in BENCHMARK.json, taken
+as a fraction of the parent's median, or says none.
 """
 
 import argparse
@@ -24,10 +27,19 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _end_to_end():
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        return json.load(f)["end_to_end"]
+
+
 def end_to_end_metrics():
     """[(name, better)] of the end-to-end metrics in BENCHMARK.json."""
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
-        return [(m["name"], m["better"]) for m in json.load(f)["end_to_end"]]
+    return [(m["name"], m["better"]) for m in _end_to_end()]
+
+
+def end_to_end_bounds():
+    """{name: bound} of the end-to-end metrics in BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in _end_to_end()}
 
 
 def result_of(stdout):
@@ -43,13 +55,16 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(pairs, metrics):
+def summarize(pairs, metrics, bounds=None):
     """One row per metric of metrics [(name, better)] over pairs [(parent
     result, change result)] of run.py results: each side's (q1, median, q3),
-    the ratio of the medians, the pairs the change won, and whether the
-    medians differ, in the metric's direction, by more than the parent's
-    interquartile range."""
+    the ratio of the medians, the pairs the change won, whether the medians
+    differ, in the metric's direction, by more than the parent's
+    interquartile range, and whether the change median is worse than the
+    parent's by more than the metric's bound in bounds {name: bound}, a
+    fraction of the parent's median (never, for a metric without one)."""
     rows = []
+    bounds = bounds or {}
     for name, better in metrics:
         sides = [[r["metrics"][name]["value"] for r in side]
                  for side in zip(*pairs)]
@@ -59,8 +74,17 @@ def summarize(pairs, metrics):
             "name": name, "parent": parent, "change": change,
             "ratio": change[1] / parent[1] if parent[1] else float("nan"),
             "wins": sum(sign * (p - c) > 0 for p, c in zip(*sides)),
-            "clear": sign * (parent[1] - change[1]) > parent[2] - parent[0]})
+            "clear": sign * (parent[1] - change[1]) > parent[2] - parent[0],
+            "over": name in bounds and sign * (change[1] - parent[1])
+            > bounds[name] * abs(parent[1])})
     return rows
+
+
+def over_bounds(rows):
+    """The line that ends a table: the metrics of rows worse than their
+    bound, or none."""
+    return "over bound: %s" % (", ".join(
+        r["name"] for r in rows if r["over"]) or "none")
 
 
 def report(pairs, rows):
@@ -118,7 +142,8 @@ def main(argv=None):
     for workload, done in pairs.items():
         print("pairs %s: %d pairs, parent %s, change %s"
               % (workload, args.pairs, args.parent, args.change))
-        for line in report(done, summarize(done, end_to_end_metrics())):
+        rows = summarize(done, end_to_end_metrics(), end_to_end_bounds())
+        for line in report(done, rows) + [over_bounds(rows)]:
             print(line)
 
 
