@@ -1,14 +1,10 @@
 """Backtracking-effects engine: a ladder of simulations from local-state
 semantics down to a fused abstract machine with choicepoint and trail stacks,
 plus a differential-testing harness for the translation correctness
-properties."""
+properties.
 
-import sys as _sys
-
-# The eager translation folds (local2global, local2global_m, local2trail)
-# recurse over tree structure; deep programs need more than the default
-# limit.
-if _sys.getrecursionlimit() < 100_000:
-    _sys.setrecursionlimit(100_000)
+Every translation, handler and machine works one node at a time, as the
+paper's lazy Haskell folds do, so the package needs no raised recursion
+limit and changes no interpreter setting."""
 
 __version__ = "0.1.0"

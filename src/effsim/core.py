@@ -17,11 +17,13 @@ A node whose children are built late is one private Node subclass,
 _Deferred(idx, op, f): the node Node(idx, op.map_children(f)), with f mapped
 on the first read of its op, which is then cached.  Haskell evaluates the
 paper's folds lazily; this node does the same for bind, for tree_map, for
-the forwarding of an operation that a handler, machine or fused
-translation does not own, and for the updates of a run whose deltas
-translations.simulate_t_tree has logged, so none of them recurses on a
-long chain of operations.  Only fold with a rec maps every child at once, in the eager
-translations local2global, local2global_m and local2trail.
+every node that a translation keeps, for the forwarding of an operation
+that a handler, machine or fused translation does not own, and for the
+updates of a run whose deltas translations.simulate_t_tree has logged, so
+none of them recurses on a long chain of operations, and the package needs
+no raised recursion limit.  fold with its default rec still maps every
+child at once; in the package only difftest's seeded local2trail bug, run
+on small programs, folds that way.
 
 bind builds only the top node of its result.  Each child of that node is
 deferred under f = partial(_defer, q), q a continuation queue (a function,
@@ -30,7 +32,8 @@ was not read yet appends to its queue instead of nesting, so every bind is
 O(1) work and a left-nested seq of n operations costs O(n) (Kiselyov &
 Ishii, Freer Monads, More Extensible Effects, 2015).  A leaf child is never
 deferred: the queue is applied to its value at once.  Forwarding returns
-_Deferred(shifted idx, op, resume), and tree_map defers each child under
+_Deferred(shifted idx, op, resume), a translation keeps a node as
+_Deferred(new idx, op, translation), and tree_map defers each child under
 return . f.  So a deferred node is always an operation node with the
 ordinary idx and op attributes, and every isinstance(t, Leaf) / t.idx /
 t.op site in the handlers, translations and machines reads it as a plain
@@ -159,8 +162,8 @@ def fold(gen, alg, t, rec=None):
     applied).  rec folds a child: built once per top-level call and passed
     down, it calls fold by name, so a wrapper installed there sees each node.
     rec=False hands alg the operation as it is, with no child folded, for an
-    alg that folds each child by name when the run reaches it
-    (translations.simulate_tree); such a fold visits one node and never
+    alg that folds each child by name when the run reaches it (every
+    translation in translations.py); such a fold visits one node and never
     recurses.
     """
     if t.__class__ is Leaf:
@@ -232,8 +235,8 @@ class _Deferred(Node):
     result and drops f (_f is None from then on).  An unread node whose f
     is a partial is bind's (tree_map's too), f = partial(_defer, q): bind
     and _defer append to its queue q.  So every other f, a forwarding
-    site's resumption, must be a lambda or a module function, never a
-    partial.
+    site's resumption or a translation, must be a lambda or a module
+    function, never a partial.
     """
 
     __slots__ = ("_op", "_f")

@@ -672,15 +672,11 @@ def check_lemma(ident, trials, seed):
 def _local2trail_untrailed_branch(t):
     """BUG: the right branch of Or does not untrail."""
     def alg(idx, op):
-        if idx == 0:
-            if isinstance(op, MUpdate):
-                return push_stack(op.r, update(op.r, 0, op.k))
-            return Node(0, op)
-        if idx == 1:
-            if isinstance(op, Or):
-                return or_(push_stack(MARKER, op.l), op.r, at=1)
-            return Node(1, op)
-        return Node(idx + 1, op)
+        if idx == 0 and isinstance(op, MUpdate):
+            return push_stack(op.r, update(op.r, 0, op.k))
+        if idx == 1 and isinstance(op, Or):
+            return or_(push_stack(MARKER, op.l), op.r, at=1)
+        return Node(idx + (idx > 1), op)
     return fold(Leaf, alg, t)
 
 

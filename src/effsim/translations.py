@@ -14,11 +14,20 @@ of local state) and `simulate_t` (choicepoint + trail stacks).  Each runs
 its three translations as one fold, simulate_tree or simulate_t_tree, that
 sends every operation straight to its composite image (fold fusion:
 Meijer, Fokkinga & Paterson 1991; Wu & Schrijvers, Fusion for Free, 2015);
-the staged compositions are test references.  Like the paper's lazy Haskell
-folds, each of the two translates a node only when the run reaches it, so
-neither recurses on a deep input, and a tree with stray operations reports
-the first one the run reaches, where the staged folds always reported the
-nondet one.
+the staged compositions are test references.
+
+Every translation here, staged or fused, is fold(gen, alg, t, False) with a
+module-level algebra, and is as lazy as the paper's Haskell folds: it
+translates the top node only, and each child when the run reaches it.  A
+node that a translation keeps, re-indexed or not, is core's deferred node,
+whose children the translation maps on its first read.  A node that it
+expands either holds the update it keeps as such a node (the update arms
+of local2global_m and local2trail), or is a get whose step function
+translates the children it continues with: put_r's continuation, push_s's
+two branches, the two arms of local2trail's Or and each states2state
+continuation.  So no translation
+recurses on a deep input, the package needs no raised recursion limit, and
+a tree with stray operations reports the first one the run reaches.
 
 nondet2state's state, the paper's S, is the pair (results, stack): the
 results found so far, the newest at the head, and the pending branches, the
@@ -47,16 +56,15 @@ arm (fail | r = r) and recording each ret arm without a push or a pop.  So
 the state handler sees one get and one put per run, not one per node.
 """
 
-from functools import partial
+from functools import cache, partial
 
 from .core import (
     Leaf, Node, Get, Put, Fail, Or, MUpdate, MRestore,
-    _Deferred, tree_map, or_, update, restore, fold,
+    _Deferred, tree_map, or_, restore, fold,
 )
 from .handlers import h_state, h_nil, run_stack, from_cells, INT_UNDO
 
 _FAIL = Node(1, Fail())  # the end of every restoring side branch
-_POP_S = {}  # at -> the one pop_s tree at that index
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +82,22 @@ def _put_r(s, k, s0):
 
 def local2global(t):
     """Replace every Put by its state-restoring expansion; keep the rest."""
-    def alg(idx, op):
-        if idx == 0 and isinstance(op, Put):
-            return put_r(op.s, op.k)
-        return Node(idx, op)
-    return fold(Leaf, alg, t)
+    return fold(Leaf, _local2global, t, False)
+
+
+def _local2global(idx, op):
+    if idx == 0 and op.__class__ is Put:
+        return Node(0, Get(partial(_local2global_put, op.s, op.k)))
+    return (Node(idx, op) if op.__class__ is Fail
+            else _Deferred(idx, op, local2global))
+
+
+def _local2global_put(s, k, s0):
+    """putR s >> local2global k at the state s0 that the get read, k
+    translated now.  put_r is called by name, so that a wrapper on it sees
+    every put; the get of its tree reads s0 again, so its step is run at s0
+    directly."""
+    return put_r(s, local2global(k)).op.k(s0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +108,7 @@ def local2global(t):
 
 def pop_s(at=0):
     """Run the next pending branch, or halt with unit on an empty stack."""
-    t = _POP_S.get(at)
-    if t is None:
-        t = _POP_S[at] = Node(at, Get(partial(_pop_s, at)))
-    return t
+    return _nondet2state_parts(at)[2]
 
 
 def _pop_s(at, s):
@@ -128,16 +144,33 @@ def nondet2state(t, at=0):
     Every other operation keeps its injection index, so nondet2state at
     index 1 equals swap . nondet2state . swap.
     """
-    def alg(idx, op):
-        if idx == at:
-            if isinstance(op, Fail):
-                return pop_s(at)
-            if isinstance(op, Or):
-                return push_s(op.r, op.l, at)
-            raise ValueError("nondet2state: non-nondet operation %s at "
-                             "index %d" % (type(op).__name__, at))
-        return Node(idx, op)
-    return fold(lambda x: append_s(x, pop_s(at), at), alg, t)
+    gen, alg, _pop = _nondet2state_parts(at)
+    return fold(gen, alg, t, False)
+
+
+@cache
+def _nondet2state_parts(at):
+    """nondet2state's leaf and operation cases at index at, and the one
+    pop_s tree there, each built once per index."""
+    return ((lambda x: append_s(x, pop_s(at), at)),
+            partial(_nondet2state, at), Node(at, Get(partial(_pop_s, at))))
+
+
+def _nondet2state(at, idx, op):
+    if op.__class__ is Fail:
+        return pop_s(at) if idx == at else Node(idx, op)
+    if idx != at:
+        return _Deferred(idx, op, lambda c: nondet2state(c, at))
+    if isinstance(op, Or):
+        return Node(at, Get(partial(_nondet2state_or, op.r, op.l, at)))
+    raise ValueError("nondet2state: non-nondet operation %s at index %d"
+                     % (type(op).__name__, at))
+
+
+def _nondet2state_or(r, l, at, s):
+    """push_s of the two branches at the state s that the get read, both
+    translated now; push_s is called by name, as put_r is above."""
+    return push_s(nondet2state(r, at), nondet2state(l, at), at).op.k(s)
 
 
 def run_nd(t):
@@ -161,23 +194,24 @@ def states2state(t, at=0):
     family at at: Get1/Put1 act on the first pair component, Get2/Put2 on
     the second.  Indices below at stay; indices above at + 1 drop by one.
     """
-    def alg(idx, op):
-        if idx > at + 1:
-            return Node(idx - 1, op)
-        if idx < at:
-            return Node(idx, op)
-        if isinstance(op, Get):
-            return Node(at, Get(partial(_get, idx - at, op.k)))
-        if isinstance(op, Put):
-            return Node(at, Get(partial(_put1 if idx == at else _put2,
-                                        op.s, op.k, at)))
-        raise ValueError("states2state: non-state operation %s at index %d"
-                         % (type(op).__name__, idx))
-    return fold(Leaf, alg, t)
+    return fold(Leaf, partial(_states2state, at), t, False)
 
 
-def _get(i, k, s12):
-    return k(s12[i])
+def _states2state(at, idx, op):
+    if not at <= idx <= at + 1:
+        return _Deferred(idx - (idx > at), op, lambda c: states2state(c, at))
+    if isinstance(op, (Get, Put)):
+        return Node(at, Get(partial(_states2state_step, idx - at, op, at)))
+    raise ValueError("states2state: non-state operation %s at index %d"
+                     % (type(op).__name__, idx))
+
+
+def _states2state_step(i, op, at, s12):
+    """The Get or Put op of the pair's component i at the pair s12, the
+    continuation translated now."""
+    if op.__class__ is Get:
+        return states2state(op.k(s12[i]), at)
+    return (_put2 if i else _put1)(op.s, states2state(op.k, at), at, s12)
 
 
 def _put1(s, k, at, s12):
@@ -459,11 +493,14 @@ _LEAF = (partial(_leaf, 0), partial(_leaf, 1))
 
 def local2global_m(t):
     """Replace update r by (update r | side (restore r)); keep the rest."""
-    def alg(idx, op):
-        if idx == 0 and isinstance(op, MUpdate):
-            return or_(update(op.r, k=op.k), restore(op.r, k=_FAIL))
-        return Node(idx, op)
-    return fold(Leaf, alg, t)
+    return fold(Leaf, _local2global_m, t, False)
+
+
+def _local2global_m(idx, op):
+    if idx == 0 and op.__class__ is MUpdate:
+        return or_(_Deferred(0, op, local2global_m), restore(op.r, k=_FAIL))
+    return (Node(idx, op) if op.__class__ is Fail
+            else _Deferred(idx, op, local2global_m))
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +542,27 @@ def local2trail(t):
     Updates log their delta on the trail; the left branch of an Or pushes a
     marker and the right branch untrails back to it.
     """
-    def alg(idx, op):
-        if idx == 0:
-            if isinstance(op, MUpdate):
-                return push_stack(op.r, update(op.r, 0, op.k))
-            return Node(0, op)
-        if idx == 1:
-            if isinstance(op, Or):
-                return or_(push_stack(MARKER, op.l), untrail(op.r), at=1)
-            return Node(1, op)
-        return Node(idx + 1, op)
-    return fold(Leaf, alg, t)
+    return fold(Leaf, _local2trail, t, False)
+
+
+def _local2trail(idx, op):
+    if idx == 0 and op.__class__ is MUpdate:
+        return push_stack(op.r, _Deferred(0, op, local2trail))
+    if idx == 1 and op.__class__ is Or:
+        return or_(Node(_TRAIL, Get(partial(_local2trail_l, op.l))),
+                   Node(_TRAIL, Get(partial(_local2trail_r, op.r))), at=1)
+    return (Node(idx + (idx > 1), op) if op.__class__ is Fail
+            else _Deferred(idx + (idx > 1), op, local2trail))
+
+
+def _local2trail_l(l, st):
+    """An Or's left arm: push a marker, then the left branch, translated
+    now."""
+    return _push_stack(MARKER, local2trail(l), st)
+
+
+def _local2trail_r(r, st):
+    """An Or's right arm: untrail back to the marker, then the right
+    branch, translated now."""
+    return _untrail(local2trail(r), st)
+

@@ -59,10 +59,8 @@ def test_left_nested_seq_is_linear(monkeypatch):
 def test_deep_left_nested_seq_without_raised_limit():
     # 40 000-long left-nested seqs under the interpreter's default recursion
     # limit, through the pipelines whose handlers and machines are loops.
-    # sim and simT take them too (test_translations covers both).  global,
-    # globalM and globalT are left out: their translation folds
-    # (local2global, local2global_m, local2trail) still recurse once per
-    # operation and raise RecursionError at this size.
+    # The pipelines that translate first take them too, since every
+    # translation works one node at a time (test_translations covers them).
     code = (
         "import sys\n"
         "import effsim\n"

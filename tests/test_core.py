@@ -184,3 +184,33 @@ def test_only_core_maps_children():
                       if isinstance(node, ast.Attribute)
                       and node.attr == "map_children"]
     assert sites and {name for name, _line in sites} == {"core.py"}, sites
+
+
+def test_no_module_sets_the_recursion_limit():
+    # The package changes no interpreter setting: every fold, handler and
+    # machine works one node at a time, under any recursion limit.
+    pkg = os.path.dirname(effsim.__file__)
+    sites = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as f:
+                tree = ast.parse(f.read())
+            sites += [(name, node.lineno) for node in ast.walk(tree)
+                      if "setrecursionlimit" in (
+                          getattr(node, "attr", None),
+                          getattr(node, "id", None),
+                          getattr(node, "name", None))]
+    assert sites == []
+
+
+def test_import_leaves_the_recursion_limit():
+    code = ("import sys\n"
+            "sys.setrecursionlimit(1234)\n"
+            "import effsim, effsim.cli\n"
+            "print(sys.getrecursionlimit())\n")
+    src = os.path.dirname(os.path.dirname(effsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1234\n"

@@ -327,16 +327,20 @@ def test_simulate_after_runs_of_puts_equals_paper_composition(layout):
 def test_simulate_t_after_runs_of_updates_equals_paper_composition(layout):
     # The final choicepoints, trail and state of the one fold, the staged
     # composition and the paper's, each pop having untrailed a long run of
-    # deltas.
+    # deltas.  The trail, thousands of cons cells deep, is compared as a
+    # list: == on the cells themselves recurses once per cell.
     third = len(layout[0]) == 3
     init = ((None, None), None)
+
+    def run(tree, s0):
+        (v, (cs, trail)), s3 = _close(h_state(h_modify(tree, s0), init), third)
+        return v, cs, from_cells(trail), s3
+
     for t, s0 in _run_programs(layout, seed=18):
         staged = states2state(nondet2state(local2trail(t), at=1), at=1)
-        paper = _close(h_state(h_modify(simulate_t_paper_tree(t), s0),
-                               init), third)
-        assert _close(h_state(h_modify(staged, s0), init), third) == paper
-        assert _close(h_state(h_modify(simulate_t_tree(t), s0), init),
-                      third) == paper
+        paper = run(simulate_t_paper_tree(t), s0)
+        assert run(staged, s0) == paper
+        assert run(simulate_t_tree(t), s0) == paper
 
 
 # ---------------------------------------------------------------------------

@@ -157,12 +157,15 @@ def test_modify_pipelines_forward_a_third_family(name):
 # the resumption over an operation's children on the first read of its op.
 # So a chain of forwarded operations nests no call of the loop that
 # forwarded it, and 40 000-long chains run under the interpreter's default
-# recursion limit, in a child process that lowers it again after the package
-# raised it.  global, globalM and globalT are left out: the eager folds of
-# local2global, local2global_m and local2trail still recurse.
+# recursion limit, set in a child process.  The staged translations keep a
+# forwarded operation as that node too, so global, globalM and globalT
+# forward such chains as well.
 _DEEP_FORWARD = {
     "local": (2, "h_local(t, 0)", "([40000], 40000)"),
+    "global": (2, "h_global(local2global(t), 0)", "([40000], 40000)"),
     "localM": (2, "h_local_m(t, 0)", "([40000], 40000)"),
+    "globalM": (2, "h_global_m(local2global_m(t), 0)", "([40000], 40000)"),
+    "globalT": (2, "h_global_t(t, 0)", "([40000], 40000)"),
     "sim": (2, "simulate(t, 0)", "([40000], 40000)"),
     "simT": (2, "simulate_t(t, 0)", "([40000], 40000)"),
     "fusedF": (2, "simulate_f(t, 0)", "([40000], 40000)"),
@@ -180,7 +183,9 @@ def test_deep_forwarding_without_raised_limit(name):
         "sys.setrecursionlimit(1000)\n"
         "from effsim.core import Leaf, get, put\n"
         "from effsim.handlers import h_state, h_nil, h_local, h_local_m\n"
+        "from effsim.handlers import h_global, h_global_m, h_global_t\n"
         "from effsim.translations import simulate, simulate_t\n"
+        "from effsim.translations import local2global, local2global_m\n"
         "from effsim.machines import simulate_f, simulate_tf\n"
         "t = get(Leaf, at=%d)\n"
         "for v in range(40000, 0, -1):\n"

@@ -261,14 +261,17 @@ def test_simulate_t_scales():
     assert out == list(range(10_000))
 
 
-# simulate and simulate_t translate each node when the run reaches it, so
-# their folds never recurse: 40 000-long inputs run under the interpreter's
-# default recursion limit, in a child process that lowers it again after the
-# package raised it.
+# Every translation, staged or fused, translates each node when the run
+# reaches it, so no pipeline recurses: 40 000-long inputs run under the
+# interpreter's default recursion limit, set in a child process.
+_DEEP_STATE = "[40000]\n40000 0 39999 799980000\n[40000]\n"
+_DEEP_MODIFY = "[800020000]\n40000 0 39999 799980000\n[800020000]\n"
 _DEEP = {
-    "sim": ("put", "get", "[40000]\n40000 0 39999 799980000\n[40000]\n"),
-    "simT": ("update", "mget",
-             "[800020000]\n40000 0 39999 799980000\n[800020000]\n"),
+    "global": ("put", "get", _DEEP_STATE),
+    "sim": ("put", "get", _DEEP_STATE),
+    "globalM": ("update", "mget", _DEEP_MODIFY),
+    "globalT": ("update", "mget", _DEEP_MODIFY),
+    "simT": ("update", "mget", _DEEP_MODIFY),
 }
 
 
@@ -300,6 +303,34 @@ def test_simulations_take_deep_inputs_without_raised_limit(name):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_staged_runs_take_deep_inputs_without_raised_limit():
+    # run_nd and run_ndf on a 40 000-way choose, and states2state on a
+    # 40 000-long chain of puts that alternate between its two families,
+    # under the default limit, in a child process.
+    code = (
+        "import sys\n"
+        "sys.setrecursionlimit(1000)\n"
+        "from effsim.core import Leaf, get, put, choose\n"
+        "from effsim.handlers import h_nil, h_state\n"
+        "from effsim.translations import run_nd, run_ndf, states2state\n"
+        "xs = run_nd(choose(range(40000), at=0))\n"
+        "ys = h_nil(run_ndf(choose(range(40000), at=0)))\n"
+        "print(len(xs), xs[0], xs[-1], sum(xs), ys == xs)\n"
+        "t = get(Leaf, at=1)\n"
+        "for v in range(40000, 0, -1):\n"
+        "    t = put(v, at=v % 2, k=t)\n"
+        "print(h_nil(h_state(states2state(t), (0, 0))))\n")
+    src = os.path.dirname(os.path.dirname(effsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # The get reads the second family, last written by put 39999; the
+    # first family was last written by put 40000.
+    assert proc.stdout == ("40000 0 39999 799980000 True\n"
+                           "(39999, (40000, 39999))\n")
 
 
 # A 40 000-long run of puts or updates under an or_, so that the one pop
