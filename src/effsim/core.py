@@ -38,6 +38,14 @@ return . f.  So a deferred node is always an operation node with the
 ordinary idx and op attributes, and every isinstance(t, Leaf) / t.idx /
 t.op site in the handlers, translations and machines reads it as a plain
 Node.
+
+Programs built with seq, guard and choose allocate only the nodes their
+trees hold.  seq applies the bind equations ret x >> b = b and fail >> b =
+fail, and continues a concrete put, update or restore that ends in a leaf
+with b directly; each builds the tree bind would.  guard True is one shared
+unit leaf, and fail (so guard False and the end of every choose) is one
+shared node per injection index: a tree is never mutated, so sharing a
+childless node changes no tree.
 """
 
 from functools import partial
@@ -185,9 +193,10 @@ def bind(t, f):
     Only the top node is built now; its children are deferred under f (see
     the module docstring), so the cost is one map_children call whatever
     the size of t.  A Fail node, which has no children, is returned as it
-    is.
+    is.  seq (a >> b) applies these equations, and one for a put, update
+    or restore that ends in a leaf, before it builds a continuation.
     """
-    if isinstance(t, Leaf):
+    if t.__class__ is Leaf:
         return f(t.value)
     if t.__class__ is _Deferred and t._f.__class__ is partial:
         return _defer(f, t)
@@ -202,7 +211,7 @@ def _defer(q, c):
 
     Takes q first, so that partial(_defer, q) maps children with one call.
     """
-    if isinstance(c, Leaf):
+    if c.__class__ is Leaf:
         if q.__class__ is not tuple:
             return q(c.value)
         return _run_queue(q, c.value)
@@ -222,7 +231,7 @@ def _run_queue(q, x):
         while f.__class__ is tuple:
             f, rest = f[0], (f[1], rest)
         t = f(x)
-        if not isinstance(t, Leaf):
+        if t.__class__ is not Leaf:
             return _defer(rest, t)
         x, q = t.value, rest
 
@@ -264,7 +273,27 @@ def tree_map(t, f):
 
 
 def seq(a, b):
-    """a >> b: run a for its effects, discard its answer, continue with b."""
+    """a >> b: run a for its effects, discard its answer, continue with b.
+
+    Three of the free monad's bind equations are applied here, before any
+    continuation is built: ret x >> b = b, fail >> b = fail, and a concrete
+    put, update or restore whose continuation is a leaf becomes the same
+    operation continued by b, a new node.  Each is the tree bind would
+    build; every other a, a _Deferred one included, goes through bind.
+    """
+    c = a.__class__
+    if c is Leaf:
+        return b
+    if c is not _Deferred:
+        op = a.op
+        oc = op.__class__
+        if oc is Fail:
+            return a
+        if oc is Put:
+            if op.k.__class__ is Leaf:
+                return Node(a.idx, Put(op.s, b))
+        elif (oc is MUpdate or oc is MRestore) and op.k.__class__ is Leaf:
+            return Node(a.idx, oc(op.r, b))
     return bind(a, lambda _x: b)
 
 
@@ -279,16 +308,29 @@ def ret(x):
     return Leaf(x)
 
 
+class _Fails(dict):
+    """Injection index -> its one fail node, built on first use."""
+
+    def __missing__(self, at):
+        t = self[at] = Node(at, Fail())
+        return t
+
+
+_UNIT = Leaf(())  # the one ret (): trees are never mutated, so nodes share
+_FAILS = _Fails()
+
+
 def get(k, at=0):
     return Node(at, Get(k))
 
 
-def put(s, at=0, k=Leaf(())):
+def put(s, at=0, k=_UNIT):
     return Node(at, Put(s, k))
 
 
 def fail(at=1):
-    return Node(at, Fail())
+    """The fail node at index at: one shared node per index."""
+    return _FAILS[at]
 
 
 def or_(l, r, at=1):
@@ -299,24 +341,26 @@ def mget(k, at=0):
     return Node(at, MGet(k))
 
 
-def update(r, at=0, k=Leaf(())):
+def update(r, at=0, k=_UNIT):
     return Node(at, MUpdate(r, k))
 
 
-def restore(r, at=0, k=Leaf(())):
+def restore(r, at=0, k=_UNIT):
     return Node(at, MRestore(r, k))
 
 
 def choose(xs, at=1):
-    """choose = foldr ((|) . eta) fail — an or-chain of returns."""
-    t = fail(at=at)
+    """choose = foldr ((|) . eta) fail — an or-chain of returns, built from
+    its tail with each Or node inline, ending in the shared fail node."""
+    t = _FAILS[at]
     for x in reversed(list(xs)):
-        t = or_(Leaf(x), t, at=at)
+        t = Node(at, Or(Leaf(x), t))
     return t
 
 
 def guard(b, at=1):
-    return Leaf(()) if b else fail(at=at)
+    """guard True is the shared unit leaf, guard False the shared fail."""
+    return _UNIT if b else _FAILS[at]
 
 
 def side(m, at=1):

@@ -10,7 +10,9 @@ reversed is what pins all pipelines to the same normative order.)
 
 import itertools
 
-from .core import Leaf, bind, seq, get, put, fail, or_, mget, update, choose, guard
+from .core import (
+    Leaf, Node, Or, bind, seq, get, put, fail, mget, update, choose, guard,
+)
 from .handlers import (
     Undo, h_nd, h_nil, h_local, h_global, h_local_m, h_global_m, h_global_t,
 )
@@ -66,12 +68,14 @@ def queens_naive(n):
     or-chain of filtr leaves (the structural result of that bind).
 
     Lexicographic permutation order reproduces the normative result order.
+    The permutations of [n..1] come in the reverse of that order, so the
+    chain is built from its tail as they stream, with no list of all n! of
+    them.  Every rejected permutation is the one shared fail node, and only
+    an accepted one is copied to a list.
     """
-    t = fail(at=0)
-    for p in reversed(list(itertools.permutations(range(1, n + 1)))):
-        p = list(p)
-        leaf = Leaf(p) if valid(p) else fail(at=0)
-        t = or_(leaf, t, at=0)
+    t = no = fail(at=0)
+    for p in itertools.permutations(range(n, 0, -1)):
+        t = Node(0, Or(Leaf(list(p)) if valid(p) else no, t))
     return t
 
 

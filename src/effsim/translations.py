@@ -60,11 +60,11 @@ from functools import cache, partial
 
 from .core import (
     Leaf, Node, Get, Put, Fail, Or, MUpdate, MRestore,
-    _Deferred, tree_map, or_, restore, fold,
+    _Deferred, _UNIT, tree_map, fail, or_, restore, fold,
 )
 from .handlers import h_state, h_nil, run_stack, from_cells, INT_UNDO
 
-_FAIL = Node(1, Fail())  # the end of every restoring side branch
+_FAIL = fail()  # the end of every restoring side branch
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +482,6 @@ def _pop(at, p):
     return (_sim_t_pop if at else _sim_pop)(xs, stack, other)
 
 
-_UNIT = Leaf(())
 _POP = (Node(0, Get(partial(_pop, 0))), Node(1, Get(partial(_pop, 1))))
 _LEAF = (partial(_leaf, 0), partial(_leaf, 1))
 

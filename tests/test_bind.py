@@ -6,10 +6,13 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 import effsim
 from effsim import core
 from effsim.core import (
-    Leaf, Node, fold, bind, seq, ret, get, put, fail, or_, choose,
+    Leaf, Node, Put, fold, bind, seq, ret, get, put, fail, or_, choose,
+    update, restore, show_tree,
 )
 from effsim.handlers import h_nd, h_nil, h_local, h_global
 from effsim.machines import simulate_f
@@ -194,3 +197,68 @@ def test_get_under_deferred_bind_resumes_repeatedly():
     assert [h_nd(k(s)) for s in (1, 2, 1)] == \
         [[2, 11, 0, -9], [3, 21, -1, -19], [2, 11, 0, -9]]
     assert calls == [1, -1, 2, -2, 1, -1]
+
+
+# seq applies three bind equations before it builds a continuation; each
+# must give the tree that bind builds.
+
+def unread_deferred():
+    """put 2 as the child of a bound put, its op not yet read: a deferred
+    node whose queue seq appends to."""
+    d = bind(put(1, k=put(2)), lambda _x: ret(5)).op.k
+    assert d.__class__ is core._Deferred and d._f is not None
+    return d
+
+
+SEQ_SHAPES = {
+    "leaf": lambda: ret(3),
+    "fail@0": lambda: fail(at=0),
+    "fail@1": lambda: fail(at=1),
+    "put@0": lambda: put(4),
+    "put@2": lambda: put(4, at=2),
+    "update@0": lambda: update(5),
+    "update@2": lambda: update(5, at=2),
+    "restore@0": lambda: restore(6),
+    "restore@2": lambda: restore(6, at=2),
+    "put-non-leaf": lambda: put(4, k=or_(ret(1), put(7))),
+    "get": lambda: get(Leaf),
+    "or": lambda: or_(ret(1), put(8)),
+    "deferred": unread_deferred,
+}
+
+
+@pytest.mark.parametrize("shape", list(SEQ_SHAPES))
+def test_seq_builds_the_tree_bind_builds(shape):
+    b = or_(put(9, k=ret("b")), fail())
+    assert show_tree(seq(SEQ_SHAPES[shape](), b)) == \
+        show_tree(eager_bind(SEQ_SHAPES[shape](), lambda _x: b))
+
+
+def test_seq_returns_b_after_ret_and_fail_before_b():
+    b = put(9)
+    assert seq(ret(1), b) is b
+    for at in (0, 1, 2):
+        f = fail(at=at)
+        assert f is fail(at=at)  # one shared fail node per index
+        assert seq(f, b) is f
+
+
+def test_seq_does_not_force_an_unread_deferred_node():
+    d = unread_deferred()
+    t = seq(d, put(9))
+    assert d._f is not None  # d's op was not read
+    assert t.__class__ is core._Deferred
+    assert t._f.args[0].__class__ is tuple  # put 9 joined d's queue
+    assert show_tree(t) == "put@0 2; put@0 9; ret ()"
+
+
+def test_seq_on_a_node_subclass():
+    # The tracer counts nodes with a Node subclass; seq must treat its nodes
+    # as concrete nodes, since it tests classes against Leaf and _Deferred.
+    class Counted(Node):
+        __slots__ = ()
+
+    b = or_(ret(1), ret(2))
+    for a in (Counted(0, Put(4, ret(0))), Counted(1, core.Fail()),
+              Counted(0, Put(4, put(5)))):
+        assert show_tree(seq(a, b)) == show_tree(eager_bind(a, lambda _x: b))

@@ -1,12 +1,16 @@
 """n-queens: safety predicate, undo instance, and pipeline agreement."""
 
+import ast
+import hashlib
+import inspect
 import itertools
 
 import pytest
 
+from effsim.core import Leaf, Or, fail
 from effsim.queens import (
     safe, valid, q_plus, q_minus, QUEENS_UNDO, INITIAL,
-    PIPELINES, run_pipeline,
+    PIPELINES, run_pipeline, queens, queens_m, queens_naive,
 )
 
 N4_SOLUTIONS = [[2, 4, 1, 3], [3, 1, 4, 2]]
@@ -82,3 +86,36 @@ def test_run_pipeline_rejects_bad_input():
         run_pipeline("bogus", 4)
     with pytest.raises(ValueError):
         run_pipeline("local", 0)
+
+
+# The running example stays as written: a faster build must come from core,
+# not from a rewrite of the bind-shaped programs.  ast.dump leaves out line
+# numbers and comments, so only a change to the code or a docstring moves
+# these.
+PROGRAM_DIGESTS = {
+    "queens":
+        "d2367ef704ed627ff3bd3709b69a34f377a6fcdb3cd25461570dd10465fed355",
+    "queens_m":
+        "f48038d1d66cca5323708ca65ef466bf72eca9fc75d300269ae54cf3da7c3576",
+}
+
+
+@pytest.mark.parametrize("program", [queens, queens_m])
+def test_queens_programs_stay_as_written(program):
+    text = ast.dump(ast.parse(inspect.getsource(program)))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PROGRAM_DIGESTS[program.__name__]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_queens_naive_is_the_lexicographic_or_chain(n):
+    t, no = queens_naive(n), fail(at=0)
+    for p in itertools.permutations(range(1, n + 1)):
+        assert t.idx == 0 and t.op.__class__ is Or
+        leaf = t.op.l
+        if valid(p):
+            assert leaf.__class__ is Leaf and leaf.value == list(p)
+        else:
+            assert leaf is no
+        t = t.op.r
+    assert t is no  # n! Or nodes on the right spine, then the shared fail
