@@ -25,13 +25,20 @@ no raised recursion limit.  fold with its default rec still maps every
 child at once; in the package only difftest's seeded local2trail bug, run
 on small programs, folds that way.
 
-bind builds only the top node of its result.  Each child of that node is
-deferred under f = partial(_defer, q), q a continuation queue (a function,
-or a pair of queues, applied left to right).  Binding a deferred node that
-was not read yet appends to its queue instead of nesting, so every bind is
-O(1) work and a left-nested seq of n operations costs O(n) (Kiselyov &
-Ishii, Freer Monads, More Extensible Effects, 2015).  A leaf child is never
-deferred: the queue is applied to its value at once.  Forwarding returns
+bind walks one shape when the tree is built: an or spine, a chain of
+concrete Or nodes at one index whose left arms are leaves (what choose
+builds).  It applies f to each leaf arm at once, left to right, and
+rebuilds the spine's Or nodes over the results, so f runs at build time and
+must be pure; the spine's end, unless a leaf or a fail, is deferred under f.
+Any other tree has only the top node of its result built.  Each child of
+that node is deferred under f = partial(_defer, q), q a continuation queue (a
+function, or a pair of queues, applied left to right).  Binding a deferred
+node that was not read yet appends to its queue instead of nesting, so a
+bind that meets no or spine is O(1) work and a left-nested seq of n
+operations costs O(n) (Kiselyov & Ishii, Freer Monads, More Extensible
+Effects, 2015).  The walk reads no _Deferred node and never passes a put,
+get or update.  A leaf child is never deferred: the queue is applied to its
+value at once, and _defer reads one node at a time.  Forwarding returns
 _Deferred(shifted idx, op, resume), a translation keeps a node as
 _Deferred(new idx, op, translation), and tree_map defers each child under
 return . f.  So a deferred node is always an operation node with the
@@ -190,20 +197,45 @@ def _recursion(gen, alg):
 def bind(t, f):
     """Monadic bind: replace every leaf x by f(x); operation nodes preserved.
 
-    Only the top node is built now; its children are deferred under f (see
-    the module docstring), so the cost is one map_children call whatever
-    the size of t.  A Fail node, which has no children, is returned as it
-    is.  seq (a >> b) applies these equations, and one for a put, update
-    or restore that ends in a leaf, before it builds a continuation.
+    A concrete Or whose left arm is a leaf starts an or spine, the shape of
+    choose xs: (l | r) >>= f = (l >>= f) | (r >>= f) and ret x >>= f = f x
+    are applied down the spine in one loop, f called on each leaf arm left
+    to right, until a node that is not a concrete Or at the same index with
+    a leaf left arm.  That end becomes f(x) if it is a leaf, stays as it is
+    if it is a concrete fail, and is deferred under f otherwise; the Or
+    nodes are then rebuilt from the end up.  So f runs when the tree is
+    built, and must be pure.  The walk reads no _Deferred node and passes
+    no other operation.
+
+    Any other t has only its top node built now, its children deferred
+    under f (see the module docstring): one map_children call whatever the
+    size of t.  A Fail node, which has no children, is returned as it is.
+    seq (a >> b) applies these equations, and one for a put, update or
+    restore that ends in a leaf, before it builds a continuation.
     """
-    if t.__class__ is Leaf:
+    c = t.__class__
+    if c is Leaf:
         return f(t.value)
-    if t.__class__ is _Deferred and t._f.__class__ is partial:
+    if c is _Deferred and t._f.__class__ is partial:
         return _defer(f, t)
     op = t.op
     if op.__class__ is Fail:  # no children: fail >>= f = fail
         return t
-    return Node(t.idx, op.map_children(partial(_defer, f)))
+    if op.__class__ is not Or or c is _Deferred or op.l.__class__ is not Leaf:
+        return Node(t.idx, op.map_children(partial(_defer, f)))
+    idx, arms = t.idx, []
+    while op.__class__ is Or and op.l.__class__ is Leaf:
+        arms.append(f(op.l.value))
+        t = op.r
+        c = t.__class__
+        if c is Leaf or c is _Deferred or t.idx != idx:
+            break
+        op = t.op
+    if c is Leaf or c is _Deferred or t.op.__class__ is not Fail:
+        t = _defer(f, t)  # f(x) for a leaf end
+    for a in reversed(arms):
+        t = Node(idx, Or(a, t))
+    return t
 
 
 def _defer(q, c):

@@ -42,16 +42,16 @@ def h_nd(t):
     stack = [t]
     while stack:
         t = stack.pop()
-        if isinstance(t, Leaf):
+        if t.__class__ is Leaf:
             out.append(t.value)
             continue
         op = t.op
         if t.idx != 0:
             raise ValueError("h_nd: unexpected residual operation %s at "
                              "index %d" % (type(op).__name__, t.idx))
-        if isinstance(op, Fail):
+        if op.__class__ is Fail:
             continue
-        if isinstance(op, Or):
+        if op.__class__ is Or:
             stack.append(op.r)
             stack.append(op.l)
             continue

@@ -60,15 +60,17 @@ def test_left_nested_seq_is_linear(monkeypatch):
 
 
 def test_deep_left_nested_seq_without_raised_limit():
-    # 40 000-long left-nested seqs under the interpreter's default recursion
-    # limit, through the pipelines whose handlers and machines are loops.
+    # 40 000-long left-nested seqs, and bind over a 40 000-wide choose,
+    # under the interpreter's default recursion limit, through the pipelines
+    # whose handlers and machines are loops.
     # The pipelines that translate first take them too, since every
     # translation works one node at a time (test_translations covers them).
     code = (
         "import sys\n"
         "import effsim\n"
         "sys.setrecursionlimit(1000)\n"
-        "from effsim.core import Leaf, seq, put, get, update, mget\n"
+        "from effsim.core import Leaf, bind, choose, seq, put, get, update, "
+        "mget\n"
         "from effsim.queens import RUNNERS\n"
         "from effsim.handlers import INT_UNDO\n"
         "def chain(op, close):\n"
@@ -76,17 +78,24 @@ def test_deep_left_nested_seq_without_raised_limit():
         "    for v in range(2, 40001):\n"
         "        t = seq(t, op(v))\n"
         "    return seq(t, close(Leaf))\n"
-        "for name in ('local', 'fusedF'):\n"
-        "    print(name, RUNNERS[name](chain(put, get), 0, INT_UNDO))\n"
-        "for name in ('localM', 'fusedTF'):\n"
-        "    print(name, RUNNERS[name](chain(update, mget), 0, INT_UNDO))\n")
+        "def wide(op, close):\n"
+        "    return seq(bind(choose(range(1, 40001)), op), close(Leaf))\n"
+        "for name, op, close in (('local', put, get), ('fusedF', put, get),\n"
+        "                        ('localM', update, mget),\n"
+        "                        ('fusedTF', update, mget)):\n"
+        "    print(name, RUNNERS[name](chain(op, close), 0, INT_UNDO))\n"
+        "    xs = RUNNERS[name](wide(op, close), 0, INT_UNDO)\n"
+        "    print(name, len(xs), xs[0], xs[-1], sum(xs))\n")
     src = os.path.dirname(os.path.dirname(effsim.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == ("local [40000]\nfusedF [40000]\n"
-                           "localM [800020000]\nfusedTF [800020000]\n")
+    wide = " 40000 1 40000 800020000\n"
+    assert proc.stdout == ("local [40000]\nlocal" + wide +
+                           "fusedF [40000]\nfusedF" + wide +
+                           "localM [800020000]\nlocalM" + wide +
+                           "fusedTF [800020000]\nfusedTF" + wide)
 
 
 # Random state/nondet programs (state at index 0, nondet at 1) as tagged
@@ -262,3 +271,74 @@ def test_seq_on_a_node_subclass():
     for a in (Counted(0, Put(4, ret(0))), Counted(1, core.Fail()),
               Counted(0, Put(4, put(5)))):
         assert show_tree(seq(a, b)) == show_tree(eager_bind(a, lambda _x: b))
+
+
+# bind walks an or spine (concrete Or nodes at one index, each with a leaf
+# left arm: what choose builds) when the tree is built.  Each end of the
+# spine must give the tree that the eager bind builds.
+
+class Counted(Node):
+    """A Node subclass, as the tracer's counted Node is."""
+
+    __slots__ = ()
+
+
+def unread_deferred_or():
+    """ret 2 | ret 3 at index 1 as the child of a bound put, its op not yet
+    read: read, it would continue the spine above it."""
+    d = bind(put(1, k=or_(ret(2), ret(3))), ret).op.k
+    assert d.__class__ is core._Deferred and d._f is not None
+    return d
+
+
+SPINE_ENDS = {
+    "shared-fail": lambda: choose([1, 2, 3]),
+    "leaf": lambda: or_(ret(1), or_(ret(2), ret(3))),
+    "or-non-leaf-left": lambda: or_(ret(1), or_(ret(2), or_(put(5, k=ret(7)),
+                                                             ret(3)))),
+    "or-other-index": lambda: or_(ret(1), or_(ret(2), or_(ret(3), ret(4),
+                                                          at=2))),
+    "deferred": lambda: or_(ret(1), or_(ret(2), unread_deferred_or())),
+    "subclass": lambda: Counted(1, core.Or(ret(1), Counted(
+        1, core.Or(ret(2), Counted(1, core.Or(ret(3), fail())))))),
+}
+
+
+SPINE_CALLS = {"shared-fail": [1, 2, 3], "leaf": [1, 2, 3],
+               "or-non-leaf-left": [1, 2], "or-other-index": [1, 2],
+               "deferred": [1, 2], "subclass": [1, 2, 3]}
+
+
+def spine_f(calls):
+    def f(x):
+        calls.append(x)
+        return or_(put(x, k=ret(x)), ret(-x))
+    return f
+
+
+@pytest.mark.parametrize("end", list(SPINE_ENDS))
+def test_bind_on_an_or_spine_builds_the_eager_tree(end):
+    # f runs when the tree is built, once on each of the spine's leaf arms,
+    # left to right, and on the spine's end if that is a leaf.
+    calls = []
+    t = bind(SPINE_ENDS[end](), spine_f(calls))
+    assert calls == SPINE_CALLS[end]
+    assert show_tree(t) == show_tree(eager_bind(SPINE_ENDS[end](),
+                                                spine_f([])))
+
+
+def test_bind_on_an_or_spine_reads_no_deferred_node():
+    d = unread_deferred_or()
+    t = bind(or_(ret(1), or_(ret(2), d)), ret)
+    assert d._f is not None
+    end = t.op.r.op.r
+    assert end.__class__ is core._Deferred and end._f is not None
+    assert show_tree(t) == "or@1 (ret 1) (or@1 (ret 2) (or@1 (ret 2) (ret 3)))"
+
+
+def test_bind_on_an_or_spine_keeps_the_fail_end():
+    f = fail()
+    t = bind(choose([1, 2]), lambda x: ret(10 * x))
+    assert t.op.r.op.r is f
+    assert t.__class__ is Node and t.op.r.__class__ is Node
+    assert show_tree(t) == "or@1 (ret 10) (or@1 (ret 20) (fail@1))"

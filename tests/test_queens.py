@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+from effsim import core
 from effsim.core import Leaf, Or, fail
 from effsim.queens import (
     safe, valid, q_plus, q_minus, QUEENS_UNDO, INITIAL,
@@ -119,3 +120,21 @@ def test_queens_naive_is_the_lexicographic_or_chain(n):
             assert leaf is no
         t = t.op.r
     assert t is no  # n! Or nodes on the right spine, then the shared fail
+
+
+@pytest.mark.parametrize("name", ["local", "sim", "fusedF", "localM",
+                                  "fusedTF"])
+def test_queens_builds_no_deferred_node(name, monkeypatch):
+    # Counts, not time: bind walks each choose's or spine when the tree is
+    # built, so these pipelines defer no node (894 at n=6 when bind built
+    # only the top Or of each choose).
+    made = [0]
+    init = core._Deferred.__init__
+
+    def counted(self, idx, op, f):
+        made[0] += 1
+        init(self, idx, op, f)
+
+    monkeypatch.setattr(core._Deferred, "__init__", counted)
+    assert len(run_pipeline(name, 6)) == 4
+    assert made[0] == 0
