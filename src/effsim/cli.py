@@ -13,7 +13,9 @@ function that returns (JSON payload, text lines, exit code).  Every command
 takes --output text|json, and main prints the payload or the lines from one
 place.
 
-Exit codes: 0 success, 1 suite failure, 2 usage error.  A suite command
+Exit codes: 0 success, 1 suite failure, 2 usage error.  A stdout that is
+closed before the output is written, as by `effsim trace | head -1`, drops
+the rest of the output and leaves the exit code as it is.  A suite command
 without --seed takes its seed from the EFFSIM_SEED environment variable, or
 42 when it is unset; a value that is not an integer is a usage error.
 """
@@ -159,8 +161,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     seed = _seed(parser, args.seed) if "seed" in args else None
     payload, lines, code = _COMMANDS[args.command][2](args, seed)
-    print(json.dumps(payload, sort_keys=True) if args.output == "json"
-          else "\n".join(lines))
+    try:
+        print(json.dumps(payload, sort_keys=True) if args.output == "json"
+              else "\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # The reader is gone: send what is left, and the flush at exit, to
+        # os.devnull (the SIGPIPE note in the docs of the signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

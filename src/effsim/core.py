@@ -21,9 +21,7 @@ every node that a translation keeps, for the forwarding of an operation
 that a handler, machine or fused translation does not own, and for the
 updates of a run whose deltas translations.simulate_t_tree has logged, so
 none of them recurses on a long chain of operations, and the package needs
-no raised recursion limit.  fold with its default rec still maps every
-child at once; in the package only difftest's seeded local2trail bug, run
-on small programs, folds that way.
+no raised recursion limit.
 
 bind walks one shape when the tree is built: an or spine, a chain of
 concrete Or nodes at one index whose left arms are leaves (what choose
@@ -170,28 +168,17 @@ class MRestore:
 # ---------------------------------------------------------------------------
 
 def fold(gen, alg, t, rec=None):
-    """The free monad's fold: Leaf x -> gen(x); Node -> alg(idx, mapped op).
+    """The free monad's fold, one node at a time.
 
-    alg receives the operation with every child already folded (children
-    behind Get/MGet continuations fold on demand when the continuation is
-    applied).  rec folds a child: built once per top-level call and passed
-    down, it calls fold by name, so a wrapper installed there sees each node.
-    rec=False hands alg the operation as it is, with no child folded, for an
-    alg that folds each child by name when the run reaches it (every
-    translation in translations.py); such a fold visits one node and never
-    recurses.
+    Leaf x gives gen(x) and a node gives alg(idx, op).  alg receives the
+    operation as it is and folds each child by name when the run reaches it
+    (every translation in translations.py), so a fold visits one node and
+    never recurses.  A rec that is given is mapped over the children first,
+    those behind Get/MGet continuations on demand; tree_map passes one.
     """
     if t.__class__ is Leaf:
         return gen(t.value)
-    if rec is False:
-        return alg(t.idx, t.op)
-    return alg(t.idx, t.op.map_children(rec or _recursion(gen, alg)))
-
-
-def _recursion(gen, alg):
-    def rec(c):
-        return fold(gen, alg, c, rec)
-    return rec
+    return alg(t.idx, t.op if rec is None else t.op.map_children(rec))
 
 
 def bind(t, f):

@@ -21,8 +21,8 @@ precondition).  Reports are JSON-ready records:
 import random
 
 from .core import (
-    Leaf, Node, Or, MUpdate, bind, seq, get, put, fail, or_, mget, update,
-    restore, fold,
+    Leaf, Or, MUpdate, _Deferred, bind, seq, get, put, fail, or_, mget,
+    update, restore, fold,
 )
 from .handlers import (
     Undo, INT_UNDO, h_nd, h_state, h_modify, h_nil, h_local, h_global,
@@ -671,13 +671,18 @@ def check_lemma(ident, trials, seed):
 
 def _local2trail_untrailed_branch(t):
     """BUG: the right branch of Or does not untrail."""
-    def alg(idx, op):
-        if idx == 0 and isinstance(op, MUpdate):
-            return push_stack(op.r, update(op.r, 0, op.k))
-        if idx == 1 and isinstance(op, Or):
-            return or_(push_stack(MARKER, op.l), op.r, at=1)
-        return Node(idx + (idx > 1), op)
-    return fold(Leaf, alg, t)
+    return fold(Leaf, _untrailed_branch, t)
+
+
+def _untrailed_branch(idx, op):
+    """The bug's one-node algebra.  It translates the arms of an update or
+    an Or at once, which is fine on the small programs it runs on."""
+    f = _local2trail_untrailed_branch
+    if idx == 0 and isinstance(op, MUpdate):
+        return push_stack(op.r, update(op.r, 0, f(op.k)))
+    if idx == 1 and isinstance(op, Or):
+        return or_(push_stack(MARKER, f(op.l)), f(op.r), at=1)
+    return _Deferred(idx + (idx > 1), op, f)
 
 
 _BROKEN_UNDO = Undo(INT_UNDO.plus, INT_UNDO.plus)  # BUG: minus defined as plus

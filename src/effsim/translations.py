@@ -16,7 +16,7 @@ sends every operation straight to its composite image (fold fusion:
 Meijer, Fokkinga & Paterson 1991; Wu & Schrijvers, Fusion for Free, 2015);
 the staged compositions are test references.
 
-Every translation here, staged or fused, is fold(gen, alg, t, False) with a
+Every translation here, staged or fused, is a one-node fold with a
 module-level algebra, and is as lazy as the paper's Haskell folds: it
 translates the top node only, and each child when the run reaches it.  A
 node that a translation keeps, re-indexed or not, is core's deferred node,
@@ -71,7 +71,7 @@ _FAIL = fail()  # the end of every restoring side branch
 # local2global: state-restoring put.
 # ---------------------------------------------------------------------------
 
-def put_r(s, k=Leaf(())):
+def put_r(s, k=_UNIT):
     """putR s >> k, where putR s = get >>= \\s' -> put s | side (put s')."""
     return Node(0, Get(partial(_put_r, s, k)))
 
@@ -82,7 +82,7 @@ def _put_r(s, k, s0):
 
 def local2global(t):
     """Replace every Put by its state-restoring expansion; keep the rest."""
-    return fold(Leaf, _local2global, t, False)
+    return fold(Leaf, _local2global, t)
 
 
 def _local2global(idx, op):
@@ -114,7 +114,7 @@ def pop_s(at=0):
 def _pop_s(at, s):
     xs, stack = s
     if stack is None:
-        return Leaf(())
+        return _UNIT
     q, stack = stack
     return Node(at, Put((xs, stack), q))
 
@@ -145,7 +145,7 @@ def nondet2state(t, at=0):
     index 1 equals swap . nondet2state . swap.
     """
     gen, alg, _pop = _nondet2state_parts(at)
-    return fold(gen, alg, t, False)
+    return fold(gen, alg, t)
 
 
 @cache
@@ -194,7 +194,7 @@ def states2state(t, at=0):
     family at at: Get1/Put1 act on the first pair component, Get2/Put2 on
     the second.  Indices below at stay; indices above at + 1 drop by one.
     """
-    return fold(Leaf, partial(_states2state, at), t, False)
+    return fold(Leaf, partial(_states2state, at), t)
 
 
 def _states2state(at, idx, op):
@@ -283,7 +283,7 @@ def simulate_tree(t):
 
 
 def _sim(t):
-    return fold(_LEAF[0], _sim_alg, t, False)
+    return fold(_LEAF[0], _sim_alg, t)
 
 
 def _sim_alg(idx, op):
@@ -378,7 +378,7 @@ def simulate_t_tree(t):
 
 
 def _sim_t(t):
-    return fold(_LEAF[1], _sim_t_alg, t, False)
+    return fold(_LEAF[1], _sim_t_alg, t)
 
 
 def _sim_t_alg(idx, op):
@@ -492,7 +492,7 @@ _LEAF = (partial(_leaf, 0), partial(_leaf, 1))
 
 def local2global_m(t):
     """Replace update r by (update r | side (restore r)); keep the rest."""
-    return fold(Leaf, _local2global_m, t, False)
+    return fold(Leaf, _local2global_m, t)
 
 
 def _local2global_m(idx, op):
@@ -510,7 +510,7 @@ MARKER = ("marker",)  # the one trail entry that is not a delta, told by `is`
 _TRAIL = 2  # injection index of the trail-stack state family in the output
 
 
-def push_stack(x, k=Leaf(())):
+def push_stack(x, k=_UNIT):
     """Push x on the trail, then continue with k."""
     return Node(_TRAIL, Get(partial(_push_stack, x, k)))
 
@@ -519,7 +519,7 @@ def _push_stack(x, k, st):
     return Node(_TRAIL, Put((x, st), k))
 
 
-def untrail(k=Leaf(())):
+def untrail(k=_UNIT):
     """Pop trail entries down to (and including) the first marker, restoring
     each recorded delta on the way, then continue with k; continue at once
     if the trail drains."""
@@ -541,7 +541,7 @@ def local2trail(t):
     Updates log their delta on the trail; the left branch of an Or pushes a
     marker and the right branch untrails back to it.
     """
-    return fold(Leaf, _local2trail, t, False)
+    return fold(Leaf, _local2trail, t)
 
 
 def _local2trail(idx, op):

@@ -1,21 +1,19 @@
 """Deferred bind: linear cost, deep inputs, and the monad laws on effect trees
 with state and nondeterminism."""
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-import effsim
 from effsim import core
 from effsim.core import (
-    Leaf, Node, Put, fold, bind, seq, ret, get, put, fail, or_, choose,
+    Leaf, Node, Put, bind, seq, ret, get, put, fail, or_, choose,
     update, restore, show_tree,
 )
 from effsim.handlers import h_nd, h_nil, h_local, h_global
 from effsim.machines import simulate_f
+from child import run_child
+from paper_forms import eager_fold
 
 
 OPS = (core.Get, core.Put, core.Fail, core.Or, core.MGet, core.MUpdate,
@@ -24,7 +22,7 @@ OPS = (core.Get, core.Put, core.Fail, core.Or, core.MGet, core.MUpdate,
 
 def eager_bind(t, f):
     """The free monad's bind as one fold over the whole of t: the reference."""
-    return fold(f, Node, t)
+    return eager_fold(f, Node, t)
 
 
 def counted_map_children(monkeypatch):
@@ -66,9 +64,6 @@ def test_deep_left_nested_seq_without_raised_limit():
     # The pipelines that translate first take them too, since every
     # translation works one node at a time (test_translations covers them).
     code = (
-        "import sys\n"
-        "import effsim\n"
-        "sys.setrecursionlimit(1000)\n"
         "from effsim.core import Leaf, bind, choose, seq, put, get, update, "
         "mget\n"
         "from effsim.queens import RUNNERS\n"
@@ -86,13 +81,8 @@ def test_deep_left_nested_seq_without_raised_limit():
         "    print(name, RUNNERS[name](chain(op, close), 0, INT_UNDO))\n"
         "    xs = RUNNERS[name](wide(op, close), 0, INT_UNDO)\n"
         "    print(name, len(xs), xs[0], xs[-1], sum(xs))\n")
-    src = os.path.dirname(os.path.dirname(effsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
     wide = " 40000 1 40000 800020000\n"
-    assert proc.stdout == ("local [40000]\nlocal" + wide +
+    assert run_child(code) == ("local [40000]\nlocal" + wide +
                            "fusedF [40000]\nfusedF" + wide +
                            "localM [800020000]\nlocalM" + wide +
                            "fusedTF [800020000]\nfusedTF" + wide)

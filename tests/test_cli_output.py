@@ -146,6 +146,22 @@ def test_entry_point_exit_code(argv, code):
     assert proc.returncode == code, proc.stderr
 
 
+def test_closed_stdout_prints_no_traceback():
+    # effsim trace --n 8 | head -1: the reader takes one line and closes the
+    # pipe while most of the 450 kB trace is still unwritten.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    with subprocess.Popen(
+            [sys.executable, "-m", "effsim.cli", "trace", "--n", "8"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1].decode()
+    assert line == b"mget\t0\t0\t0\n"
+    assert "Traceback" not in err and proc.returncode == 0, err
+
+
 def test_cli_has_one_printer():
     # Every command hands its payload and text lines to one printer, so the
     # file holds one json.dumps call and one --output declaration.

@@ -3,8 +3,6 @@
 import ast
 import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +14,8 @@ from effsim.core import (
 )
 import effsim
 from effsim.handlers import h_nd
-from paper_forms import swap
+from child import run_child
+from paper_forms import eager_fold, swap
 
 
 def tree_equal(a, b):
@@ -47,17 +46,29 @@ def random_nondet_tree(rng, depth):
                random_nondet_tree(rng, depth - 1), at=0)
 
 
+def answers(t):
+    """t's answers by core.fold, one node at a time: the algebra folds each
+    child by name, as the translations do."""
+    return fold(lambda x: [x], _answers, t)
+
+
+def _answers(idx, op):
+    return [] if isinstance(op, Fail) else answers(op.l) + answers(op.r)
+
+
+def eager_answers(t):
+    """t's answers by the paper's fold, every child folded first."""
+    return eager_fold(lambda x: [x], lambda idx, op: (
+        [] if isinstance(op, Fail) else op.l + op.r), t)
+
+
 def test_fold_leaf():
     assert fold(lambda x: x, None, Leaf(7)) == 7
 
 
 def test_fold_hnd_example():
     t = or_(ret(1), ret(2), at=0)
-    def alg(idx, op):
-        if isinstance(op, Fail):
-            return []
-        return op.l + op.r
-    assert fold(lambda x: [x], alg, t) == [1, 2]
+    assert answers(t) == eager_answers(t) == [1, 2]
 
 
 def test_fold_matches_reference_evaluator():
@@ -68,11 +79,41 @@ def test_fold_matches_reference_evaluator():
             return []
         return reference(t.op.l) + reference(t.op.r)
     rng = random.Random(0)
-    def alg(idx, op):
-        return [] if isinstance(op, Fail) else op.l + op.r
     for _ in range(200):
         t = random_nondet_tree(rng, 4)
-        assert fold(lambda x: [x], alg, t) == reference(t)
+        assert answers(t) == eager_answers(t) == reference(t)
+
+
+def test_fold_visits_one_node():
+    # core.fold is one step: on a 40 000-long chain of puts it calls alg
+    # once, with the top Put as it is, its child not folded.  The paper's
+    # fold, which folds every child first, recurses 40 000 deep here.
+    t = Leaf("end")
+    for v in range(40000, 0, -1):
+        t = put(v, k=t)
+    seen = []
+    def alg(idx, op):
+        seen.append((idx, op))
+        return "top"
+    def gen(x):
+        raise AssertionError("a leaf was folded")
+    assert fold(gen, alg, t) == "top"
+    assert len(seen) == 1 and seen[0][0] == 0 and seen[0][1] is t.op
+    # A rec that is given is mapped over the top node's children, and no
+    # deeper: once over a Put's child, once over each arm of an Or, left
+    # first.
+    mapped = []
+    def rec(c):
+        mapped.append(c)
+        return Leaf(len(mapped))
+    op = fold(gen, lambda idx, op: op, t, rec)
+    assert len(mapped) == 1 and mapped[0] is t.op.k
+    assert op.s == 1 and op.k.value == 1
+    mapped.clear()
+    u = or_(t, t.op.k, at=0)
+    op = fold(gen, lambda idx, op: op, u, rec)
+    assert len(mapped) == 2 and mapped[0] is t and mapped[1] is t.op.k
+    assert (op.l.value, op.r.value) == (1, 2)
 
 
 def test_bind_leaf():
@@ -103,12 +144,10 @@ def test_monad_right_unit_and_assoc():
 
 def test_fold_unique_homomorphism():
     rng = random.Random(2)
-    def alg(idx, op):
-        return [] if isinstance(op, Fail) else op.l + op.r
     for _ in range(100):
         t = random_nondet_tree(rng, 4)
-        assert fold(lambda x: [x], alg, bind(t, ret)) == \
-            fold(lambda x: [x], alg, t)
+        assert answers(bind(t, ret)) == answers(t) == \
+            eager_answers(bind(t, ret))
 
 
 def test_constructors():
@@ -149,26 +188,14 @@ def test_repr_of_deep_tree_does_not_crash():
     code = ("from effsim.core import choose, show_tree\n"
             "t = choose(range(20000), at=1)\n"
             "print(repr(t) == show_tree(t), len(repr(t)))\n")
-    src = os.path.dirname(os.path.dirname(effsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True 368896\n"
+    assert run_child(code) == "True 368896\n"
 
 
 def test_repr_of_deep_tree_under_default_recursion_limit():
     # show_tree is a loop, so it needs no raised recursion limit.
-    code = ("import sys\n"
-            "from effsim.core import choose\n"
-            "sys.setrecursionlimit(1000)\n"
+    code = ("from effsim.core import choose\n"
             "print(len(repr(choose(range(20000), at=1))))\n")
-    src = os.path.dirname(os.path.dirname(effsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "368896\n"
+    assert run_child(code) == "368896\n"
 
 
 def test_only_core_maps_children():
@@ -204,13 +231,6 @@ def test_no_module_sets_the_recursion_limit():
 
 
 def test_import_leaves_the_recursion_limit():
-    code = ("import sys\n"
-            "sys.setrecursionlimit(1234)\n"
-            "import effsim, effsim.cli\n"
+    code = ("import effsim, effsim.cli\n"
             "print(sys.getrecursionlimit())\n")
-    src = os.path.dirname(os.path.dirname(effsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1234\n"
+    assert run_child(code, limit=1234) == "1234\n"

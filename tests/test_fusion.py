@@ -21,7 +21,7 @@ import pytest
 from effsim import difftest, translations
 from effsim.core import (
     Leaf, Node, Get, Put, Fail, Or, MGet, MUpdate, MRestore, get, put, fail,
-    or_, seq, side, mget, update, restore, bind, choose, fold, tree_map,
+    or_, seq, side, mget, update, restore, bind, choose, tree_map,
     show_tree,
 )
 from effsim.difftest import gen_program, lower
@@ -34,7 +34,7 @@ from effsim.translations import (
     nondet2state, states2state, local2trail, push_stack, untrail,
     simulate, simulate_t, simulate_tree, simulate_t_tree,
 )
-from paper_forms import swap, rotate
+from paper_forms import eager_fold, swap, rotate
 
 # Layouts for random programs: SN and MN, and each with a third state family
 # at index 2 (modify_as_state lowers mget/update to plain get/put there).
@@ -585,7 +585,7 @@ def local2global_m_seq(t):
         if idx == 0 and isinstance(op, MUpdate):
             return seq(or_(update(op.r), side(restore(op.r))), op.k)
         return Node(idx, op)
-    return fold(Leaf, alg, t)
+    return eager_fold(Leaf, alg, t)
 
 
 def test_local2global_m_equals_seq_side_form():

@@ -3,8 +3,6 @@
 import ast
 import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +17,7 @@ from effsim.handlers import (
     h_local, h_global, h_local_m, h_global_m, h_global_t,
 )
 from effsim.translations import local2global
+from child import run_child
 
 
 def test_h_nd_dfs_order():
@@ -41,22 +40,14 @@ def test_wide_choose_without_raised_limit():
     # A 40 000-way choose through local and localM under the interpreter's
     # default recursion limit: the state or modify frame and the nondet frame
     # run as one loop, so no branch is forwarded between handlers.
-    code = ("import sys\n"
-            "import effsim\n"
-            "sys.setrecursionlimit(1000)\n"
-            "from effsim.core import choose\n"
+    code = ("from effsim.core import choose\n"
             "from effsim.handlers import INT_UNDO\n"
             "from effsim.queens import RUNNERS\n"
             "t = choose(range(40000))\n"
             "for name in ('local', 'localM'):\n"
             "    print(name, RUNNERS[name](t, 0, INT_UNDO) == "
             "list(range(40000)))\n")
-    src = os.path.dirname(os.path.dirname(effsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout == "local True\nlocalM True\n"
+    assert run_child(code) == "local True\nlocalM True\n"
 
 
 def test_h_nd_rejects_foreign_ops():
@@ -73,12 +64,8 @@ def test_h_nd_rejects_deep_residual_without_crashing():
             "    h_nd(choose(range(20000), at=1))\n"
             "except ValueError as e:\n"
             "    print(e)\n")
-    src = os.path.dirname(os.path.dirname(effsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "h_nd: unexpected residual operation Or at index 1\n"
+    assert run_child(code) == \
+        "h_nd: unexpected residual operation Or at index 1\n"
 
 
 def test_h_state_threads_state():

@@ -3,13 +3,8 @@ forwarding of a third family through every state and modify pipeline, on
 chains of any length, on random programs, and through core's deferred node,
 which runs a forwarded operation's resumption when its op is first read."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-import effsim
 from effsim.core import Leaf, bind, get, put, or_, seq, mget, update
 from effsim.difftest import gen_program, lower
 from effsim.handlers import (
@@ -21,6 +16,7 @@ from effsim.translations import (
     nondet2state, states2state, local2global, local2global_m,
     simulate, simulate_t, simulate_tree, simulate_t_tree,
 )
+from child import run_child
 
 
 def _behind_two_forwarded():
@@ -178,9 +174,6 @@ _DEEP_FORWARD = {
 def test_deep_forwarding_without_raised_limit(name):
     at, run, expected = _DEEP_FORWARD[name]
     code = (
-        "import sys\n"
-        "import effsim\n"
-        "sys.setrecursionlimit(1000)\n"
         "from effsim.core import Leaf, get, put\n"
         "from effsim.handlers import h_state, h_nil, h_local, h_local_m\n"
         "from effsim.handlers import h_global, h_global_m, h_global_t\n"
@@ -191,12 +184,7 @@ def test_deep_forwarding_without_raised_limit(name):
         "for v in range(40000, 0, -1):\n"
         "    t = put(v, at=%d, k=t)\n"
         "print(h_nil(h_state(%s, 0)))\n" % (at, at, run))
-    src = os.path.dirname(os.path.dirname(effsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == expected + "\n"
+    assert run_child(code) == expected + "\n"
 
 
 # Differential check of forwarding: random programs over state, nondet and

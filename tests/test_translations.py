@@ -1,16 +1,12 @@
 """Translations: putR, choicepoint-state machines, state merging, trails."""
 
 import ast
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-import effsim
 from effsim.core import (
-    Leaf, ret, get, put, fail, or_, choose, seq, mget, update, side,
+    Leaf, Node, ret, get, put, fail, or_, choose, seq, mget, update, side,
 )
 from effsim.handlers import (
     INT_UNDO, h_nd, h_state, h_ndf, h_nil, h_local, h_global, h_local_m,
@@ -23,7 +19,8 @@ from effsim.translations import (
     simulate_t,
 )
 from effsim.difftest import alpha
-from paper_forms import swap
+from child import run_child
+from paper_forms import eager_fold, swap
 
 
 def random_local_program(rng, depth):
@@ -129,12 +126,11 @@ def test_local2global_m_litmus():
 
 
 def test_stack_primitives():
-    from effsim.core import fold, Node
-
     def front(t):
         # The stack family sits at its pipeline position 2; retag to 0 so a
         # bare h_state can interpret it.
-        return fold(Leaf, lambda i, op: Node(0 if i == 2 else i, op), t)
+        return eager_fold(Leaf, lambda i, op: Node(0 if i == 2 else i, op),
+                          t)
 
     t = seq(push_stack("x"), push_stack("y", get(ret, at=2)))
     res = h_nil(h_state(front(t), None))
@@ -144,12 +140,12 @@ def test_stack_primitives():
 
 
 def test_untrail_restores_through_marker():
-    from effsim.core import fold, Leaf as L, Node
     from effsim.handlers import h_modify
     trail = to_cells([9, MARKER, 3, 2])  # top last
     # untrail emits restores at 0 and trail-stack ops at 2; retag the stack
     # family to 1 so both handlers sit at the front in turn.
-    t = fold(L, lambda i, op: Node(1 if i == 2 else i, op), untrail())
+    t = eager_fold(Leaf, lambda i, op: Node(1 if i == 2 else i, op),
+                   untrail())
     inner = h_modify(t, 10)  # restores handled; stack ops now at 0
     res = h_nil(h_state(inner, trail))
     assert res == (((), 5), to_cells([9]))
@@ -174,12 +170,12 @@ def test_choicepoint_stack_ops_share_the_old_cells():
 
 
 def test_trail_ops_share_the_old_cells():
-    from effsim.core import fold, Node
     from effsim.handlers import h_modify
 
     def retag(t, at):
         # Move the trail family from its pipeline position 2 to index at.
-        return fold(Leaf, lambda i, op: Node(at if i == 2 else i, op), t)
+        return eager_fold(Leaf, lambda i, op: Node(at if i == 2 else i, op),
+                          t)
 
     trail = to_cells([5, MARKER, 2])  # top last
     new = h_nil(h_state(retag(push_stack(MARKER, get(Leaf, at=2)), 0),
@@ -279,9 +275,6 @@ _DEEP = {
 def test_simulations_take_deep_inputs_without_raised_limit(name):
     op, close, expected = _DEEP[name]
     code = (
-        "import sys\n"
-        "import effsim\n"
-        "sys.setrecursionlimit(1000)\n"
         "from effsim.core import Leaf, seq, choose, %s as op, %s as close\n"
         "from effsim.queens import RUNNERS\n"
         "from effsim.handlers import INT_UNDO\n"
@@ -297,12 +290,7 @@ def test_simulations_take_deep_inputs_without_raised_limit(name):
         "    left = seq(left, op(v))\n"
         "print(run(seq(left, close(Leaf))))\n"
         % (op, close, name))
-    src = os.path.dirname(os.path.dirname(effsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == expected
+    assert run_child(code) == expected
 
 
 def test_staged_runs_take_deep_inputs_without_raised_limit():
@@ -310,8 +298,6 @@ def test_staged_runs_take_deep_inputs_without_raised_limit():
     # 40 000-long chain of puts that alternate between its two families,
     # under the default limit, in a child process.
     code = (
-        "import sys\n"
-        "sys.setrecursionlimit(1000)\n"
         "from effsim.core import Leaf, get, put, choose\n"
         "from effsim.handlers import h_nil, h_state\n"
         "from effsim.translations import run_nd, run_ndf, states2state\n"
@@ -322,15 +308,11 @@ def test_staged_runs_take_deep_inputs_without_raised_limit():
         "for v in range(40000, 0, -1):\n"
         "    t = put(v, at=v % 2, k=t)\n"
         "print(h_nil(h_state(states2state(t), (0, 0))))\n")
-    src = os.path.dirname(os.path.dirname(effsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    out = run_child(code)
     # The get reads the second family, last written by put 39999; the
     # first family was last written by put 40000.
-    assert proc.stdout == ("40000 0 39999 799980000 True\n"
-                           "(39999, (40000, 39999))\n")
+    assert out == ("40000 0 39999 799980000 True\n"
+                   "(39999, (40000, 39999))\n")
 
 
 # A 40 000-long run of puts or updates under an or_, so that the one pop
@@ -349,9 +331,6 @@ _DEEP_POP = {
 def test_one_pop_crosses_a_deep_run_without_raised_limit(name):
     op, close, fused, family = _DEEP_POP[name]
     code = (
-        "import sys\n"
-        "import effsim\n"
-        "sys.setrecursionlimit(1000)\n"
         "from effsim.core import Leaf, seq, or_, %s as op, %s as close\n"
         "from effsim.handlers import h_state, h_modify, h_nil, run_stack\n"
         "from effsim.handlers import from_cells\n"
@@ -365,12 +344,8 @@ def test_one_pop_crosses_a_deep_run_without_raised_limit(name):
         "print(repr((local, from_cells(xs), stack, a, from_cells(other)\n"
         "            if %r == 'modify' else other)))\n"
         % (op, close, family, fused, family))
-    src = os.path.dirname(os.path.dirname(effsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    local, xs, stack, a, other = ast.literal_eval(proc.stdout)
+    out = run_child(code)
+    local, xs, stack, a, other = ast.literal_eval(out)
     assert xs == [x for x, _s in local] and stack is None
     if name == "sim":
         # put 7's restore entry is crossed by the last pop: u is back to 5.
@@ -392,9 +367,6 @@ def test_one_pop_crosses_a_deep_run_without_raised_limit(name):
 def test_deep_broken_runs_and_mixed_or_chain_without_raised_limit(name):
     op, close, fused, family = _DEEP_POP[name]
     code = (
-        "import sys\n"
-        "import effsim\n"
-        "sys.setrecursionlimit(1000)\n"
         "from effsim.core import Leaf, or_, fail, %s as op, %s as close\n"
         "from effsim.handlers import h_state, h_modify, h_nil, run_stack\n"
         "from effsim.handlers import from_cells\n"
@@ -415,12 +387,8 @@ def test_deep_broken_runs_and_mixed_or_chain_without_raised_limit(name):
         "               arms)\n"
         "print(repr(run(arms)))\n"
         % (op, close, family, fused, family))
-    src = os.path.dirname(os.path.dirname(effsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    runs, chain = map(ast.literal_eval, proc.stdout.splitlines())
+    out = run_child(code)
+    runs, chain = map(ast.literal_eval, out.splitlines())
     for local, xs, stack, a, other in (runs, chain):
         assert xs == [x for x, _s in local] and stack is None
     local, _xs, _stack, a, other = runs
