@@ -677,12 +677,13 @@ def _local2trail_untrailed_branch(t):
 def _untrailed_branch(idx, op):
     """The bug's one-node algebra.  It translates the arms of an update or
     an Or at once, which is fine on the small programs it runs on."""
-    f = _local2trail_untrailed_branch
     if idx == 0 and isinstance(op, MUpdate):
-        return push_stack(op.r, update(op.r, 0, f(op.k)))
+        return push_stack(op.r, update(op.r, 0,
+                                       _local2trail_untrailed_branch(op.k)))
     if idx == 1 and isinstance(op, Or):
-        return or_(push_stack(MARKER, f(op.l)), f(op.r), at=1)
-    return _Deferred(idx + (idx > 1), op, f)
+        return or_(push_stack(MARKER, _local2trail_untrailed_branch(op.l)),
+                   _local2trail_untrailed_branch(op.r), at=1)
+    return _Deferred(idx + (idx > 1), op, _local2trail_untrailed_branch)
 
 
 _BROKEN_UNDO = Undo(INT_UNDO.plus, INT_UNDO.plus)  # BUG: minus defined as plus

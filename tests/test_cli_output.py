@@ -3,7 +3,6 @@ byte, and the `python -m effsim.cli` entry point run as a process."""
 
 import ast
 import hashlib
-import os
 import re
 import subprocess
 import sys
@@ -12,8 +11,7 @@ import pytest
 
 import effsim.cli
 from effsim.cli import main
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(effsim.cli.__file__)))
+from child import child_env
 
 
 def run(capsys, *argv):
@@ -138,23 +136,19 @@ def test_usage_error_pinned(capsys, monkeypatch, argv):
     (("queens", "--n", "0"), 2),
 ])
 def test_entry_point_exit_code(argv, code):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-m", "effsim.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == code, proc.stderr
 
 
 def test_closed_stdout_prints_no_traceback():
     # effsim trace --n 8 | head -1: the reader takes one line and closes the
     # pipe while most of the 450 kB trace is still unwritten.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     with subprocess.Popen(
             [sys.executable, "-m", "effsim.cli", "trace", "--n", "8"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            env=child_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as proc:
         line = proc.stdout.readline()
         proc.stdout.close()
         err = proc.communicate(timeout=60)[1].decode()
