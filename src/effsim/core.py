@@ -13,22 +13,29 @@ index in the ordered coproduct.  The families are:
 Get/MGet continuations are function values (state -> subtree), which keeps
 trees lazy in the state; all other children are concrete subtrees.
 
-A node whose children are built late is one private Node subclass,
-_Deferred(idx, op, f): the node Node(idx, op.map_children(f)), with f mapped
-on the first read of its op, which is then cached.  Haskell evaluates the
-paper's folds lazily; this node does the same for bind, for tree_map, for
-every node that a translation keeps, for the forwarding of an operation
-that a handler, machine or fused translation does not own, and for the
-updates of a run whose deltas translations.simulate_t_tree has logged, so
-none of them recurses on a long chain of operations, and the package needs
-no raised recursion limit.
+Two private Node subclasses build their children late, on the first read
+of their op, which is then cached.  _Choice(at, xs), what choose returns
+for a non-empty xs, builds choose's or chain of returns then; until then
+bind reads xs instead, and builds no chain at all (see bind).
+_Deferred(idx, op, f) is the node Node(idx, op.map_children(f)), with f
+mapped on that first read.  Haskell evaluates the paper's folds lazily;
+_Deferred does the same for bind, for tree_map, for every node that a
+translation keeps, for the forwarding of an operation that a handler,
+machine or fused translation does not own, and for the updates of a run
+whose deltas translations.simulate_t_tree has logged, so none of them
+recurses on a long chain of operations, and the package needs no raised
+recursion limit.
 
 bind walks one shape when the tree is built: an or spine, a chain of
 concrete Or nodes at one index whose left arms are leaves (what choose
 builds).  It applies f to each leaf arm at once, left to right, and
 rebuilds the spine's Or nodes over the results, so f runs at build time and
 must be pure; the spine's end, unless a leaf or a fail, is deferred under f.
-Any other tree has only the top node of its result built.  Each child of
+An unread _Choice is such a spine not yet built: bind applies f to each of
+its values, left to right, and builds the Or nodes over the results once,
+as the walk would (choose is a foldr, and bind fuses with it: Gill,
+Launchbury & Peyton Jones, A Short Cut to Deforestation, FPCA 1993).  Any
+other tree has only the top node of its result built.  Each child of
 that node is deferred under f = partial(_defer, q), q a continuation queue (a
 function, or a pair of queues, applied left to right).  Binding a deferred
 node that was not read yet appends to its queue instead of nesting, so a
@@ -184,15 +191,18 @@ def fold(gen, alg, t, rec=None):
 def bind(t, f):
     """Monadic bind: replace every leaf x by f(x); operation nodes preserved.
 
-    A concrete Or whose left arm is a leaf starts an or spine, the shape of
-    choose xs: (l | r) >>= f = (l >>= f) | (r >>= f) and ret x >>= f = f x
-    are applied down the spine in one loop, f called on each leaf arm left
-    to right, until a node that is not a concrete Or at the same index with
-    a leaf left arm.  That end becomes f(x) if it is a leaf, stays as it is
-    if it is a concrete fail, and is deferred under f otherwise; the Or
-    nodes are then rebuilt from the end up.  So f runs when the tree is
-    built, and must be pure.  The walk reads no _Deferred node and passes
-    no other operation.
+    On choose xs whose op was not read, f is called on each value left to
+    right, and Or(f(x1), ... Or(f(xn), fail)) is built from the end up,
+    with no node of choose's chain built.  A concrete Or whose left arm is
+    a leaf starts an or spine, the shape of a read choose xs, and
+    (l | r) >>= f = (l >>= f) | (r >>= f) and ret x >>= f = f x are
+    applied down the spine in one loop, f called on each leaf arm left to
+    right, until a node that is not a concrete Or at the same index with a
+    leaf left arm.
+    That end becomes f(x) if it is a leaf, stays as it is if it is a
+    concrete fail, and is deferred under f otherwise; the Or nodes are then
+    rebuilt from the end up.  So f runs when the tree is built, and must be
+    pure.  The walk reads no _Deferred node and passes no other operation.
 
     Any other t has only its top node built now, its children deferred
     under f (see the module docstring): one map_children call whatever the
@@ -205,21 +215,25 @@ def bind(t, f):
         return f(t.value)
     if c is _Deferred and t._f.__class__ is partial:
         return _defer(f, t)
-    op = t.op
-    if op.__class__ is Fail:  # no children: fail >>= f = fail
-        return t
-    if op.__class__ is not Or or c is _Deferred or op.l.__class__ is not Leaf:
-        return Node(t.idx, op.map_children(partial(_defer, f)))
-    idx, arms = t.idx, []
-    while op.__class__ is Or and op.l.__class__ is Leaf:
-        arms.append(f(op.l.value))
-        t = op.r
-        c = t.__class__
-        if c is Leaf or c is _Deferred or t.idx != idx:
-            break
+    if c is _Choice and t._xs is not None:  # choose xs >>= f: no chain built
+        idx, arms, t = t.idx, list(map(f, t._xs)), _FAILS[t.idx]
+    else:
         op = t.op
-    if c is Leaf or c is _Deferred or t.op.__class__ is not Fail:
-        t = _defer(f, t)  # f(x) for a leaf end
+        if op.__class__ is Fail:  # no children: fail >>= f = fail
+            return t
+        if op.__class__ is not Or or c is _Deferred or \
+                op.l.__class__ is not Leaf:
+            return Node(t.idx, op.map_children(partial(_defer, f)))
+        idx, arms = t.idx, []
+        while op.__class__ is Or and op.l.__class__ is Leaf:
+            arms.append(f(op.l.value))
+            t = op.r
+            c = t.__class__
+            if c is Leaf or c is _Deferred or t.idx != idx:
+                break
+            op = t.op
+        if c is Leaf or c is _Deferred or t.op.__class__ is not Fail:
+            t = _defer(f, t)  # f(x) for a leaf end
     for a in reversed(arms):
         t = Node(idx, Or(a, t))
     return t
@@ -298,12 +312,13 @@ def seq(a, b):
     continuation is built: ret x >> b = b, fail >> b = fail, and a concrete
     put, update or restore whose continuation is a leaf becomes the same
     operation continued by b, a new node.  Each is the tree bind would
-    build; every other a, a _Deferred one included, goes through bind.
+    build; every other a goes through bind, a _Deferred or _Choice one
+    without its op read here.
     """
     c = a.__class__
     if c is Leaf:
         return b
-    if c is not _Deferred:
+    if c is not _Deferred and c is not _Choice:
         op = a.op
         oc = op.__class__
         if oc is Fail:
@@ -369,12 +384,39 @@ def restore(r, at=0, k=_UNIT):
 
 
 def choose(xs, at=1):
-    """choose = foldr ((|) . eta) fail — an or-chain of returns, built from
-    its tail with each Or node inline, ending in the shared fail node."""
-    t = _FAILS[at]
-    for x in reversed(list(xs)):
-        t = Node(at, Or(Leaf(x), t))
-    return t
+    """choose = foldr ((|) . eta) fail — an or-chain of returns, ending in
+    the shared fail node, which is also choose [].  Any other chain is a
+    _Choice node, which holds a copy of xs and builds the chain on the first
+    read of its op; bind on an unread one builds no chain at all."""
+    xs = tuple(xs)
+    return _Choice(at, xs) if xs else _FAILS[at]
+
+
+class _Choice(Node):
+    """choose xs at index idx, xs a non-empty tuple, its or chain not yet
+    built.
+
+    op is a property: its first read builds the chain from its tail, each
+    Or node inline, caches its top Or and drops xs (_xs is None from then
+    on).  Until then bind reads xs instead, and seq passes the node to bind
+    unread.
+    """
+
+    __slots__ = ("_op", "_xs")
+
+    def __init__(self, idx, xs):
+        self.idx = idx
+        self._xs = xs
+
+    @property
+    def op(self):
+        xs = self._xs
+        if xs is not None:
+            t = _FAILS[self.idx]
+            for x in reversed(xs):
+                t = Node(self.idx, Or(Leaf(x), t))
+            self._op, self._xs = t.op, None
+        return self._op
 
 
 def guard(b, at=1):

@@ -16,6 +16,17 @@ state).  h_state (hState1), h_modify (hModify1) and h_ndf (hND+f, as the
 paper's runND+f machine) are the one-frame stacks.  The nondet cons cells
 ((head, tail), None for empty) also hold the translations' stacks, results
 and trails; to_cells and from_cells convert lists to cells and back.
+
+At an Or, a nondet frame pushes no choicepoint for a left arm that a
+nondet law settles at once, as the fused folds of translations do:
+
+    Or (ret x) r    x recorded, paired with the states before the frame
+                    as a leaf is, then r (push r; ret x; pop = ret x; r)
+    Or fail r       r, for a fail at the frame's own index (fail | r = r)
+
+Any other left arm is run after r is pushed.  Neither row reads an op that
+the next step would not read first, so the answers, and the message for a
+stray operation, are those of one node at a time.
 """
 
 import functools
@@ -134,9 +145,18 @@ def _run(t, st, xs, stack, plan, undo):
             if c is rd:  # Get or MGet
                 t = op.k(st[i])
                 continue
-            if c is wr and c is Or:  # push the right branch
-                stack = (op.r, p and st[:p], stack)
-                t = op.l
+            if c is wr and c is Or:
+                l = op.l
+                if l.__class__ is Leaf:  # ret x | r: record x, then r
+                    v = l.value
+                    for s in st[:p]:
+                        v = (v, s)
+                    xs, t = (v, xs), op.r
+                elif l.idx == t.idx and l.op.__class__ is Fail:  # fail | r = r
+                    t = op.r
+                else:  # push the right branch
+                    stack = (op.r, p and st[:p], stack)
+                    t = l
                 continue
             if c is wr or c is MRestore and wr is MUpdate:  # a write
                 st[i] = (op.s if c is Put else undo.plus(st[i], op.r)

@@ -20,14 +20,15 @@ Every translation here, staged or fused, is a one-node fold with a
 module-level algebra, and is as lazy as the paper's Haskell folds: it
 translates the top node only, and each child when the run reaches it.  A
 node that a translation keeps, re-indexed or not, is core's deferred node,
-whose children the translation maps on its first read.  A node that it
-expands either holds the update it keeps as such a node (the update arms
-of local2global_m and local2trail), or is a get whose step function
-translates the children it continues with: put_r's continuation, push_s's
-two branches, the two arms of local2trail's Or and each states2state
-continuation.  So no translation
-recurses on a deep input, the package needs no raised recursion limit, and
-a tree with stray operations reports the first one the run reaches.
+whose children the translation maps on its first read; a fail it keeps is
+core's shared fail node at its new index.  A node that it expands either
+holds the update it keeps as such a node (the update arms of local2global_m
+and local2trail), or is a get whose step function translates the children
+it continues with: put_r's continuation, push_s's two branches, the two
+arms of local2trail's Or and each states2state continuation.  So no
+translation recurses on a deep input, the package needs no raised recursion
+limit, and a tree with stray operations reports the first one the run
+reaches.
 
 nondet2state's state, the paper's S, is the pair (results, stack): the
 results found so far, the newest at the head, and the pending branches, the
@@ -88,7 +89,7 @@ def local2global(t):
 def _local2global(idx, op):
     if idx == 0 and op.__class__ is Put:
         return Node(0, Get(partial(_local2global_put, op.s, op.k)))
-    return (Node(idx, op) if op.__class__ is Fail
+    return (fail(at=idx) if op.__class__ is Fail
             else _Deferred(idx, op, local2global))
 
 
@@ -158,7 +159,7 @@ def _nondet2state_parts(at):
 
 def _nondet2state(at, idx, op):
     if op.__class__ is Fail:
-        return pop_s(at) if idx == at else Node(idx, op)
+        return pop_s(at) if idx == at else fail(at=idx)
     if idx != at:
         return _Deferred(idx, op, lambda c: nondet2state(c, at))
     if isinstance(op, Or):
@@ -498,7 +499,7 @@ def local2global_m(t):
 def _local2global_m(idx, op):
     if idx == 0 and op.__class__ is MUpdate:
         return or_(_Deferred(0, op, local2global_m), restore(op.r, k=_FAIL))
-    return (Node(idx, op) if op.__class__ is Fail
+    return (fail(at=idx) if op.__class__ is Fail
             else _Deferred(idx, op, local2global_m))
 
 
@@ -550,7 +551,7 @@ def _local2trail(idx, op):
     if idx == 1 and op.__class__ is Or:
         return or_(Node(_TRAIL, Get(partial(_local2trail_l, op.l))),
                    Node(_TRAIL, Get(partial(_local2trail_r, op.r))), at=1)
-    return (Node(idx + (idx > 1), op) if op.__class__ is Fail
+    return (fail(at=idx + (idx > 1)) if op.__class__ is Fail
             else _Deferred(idx + (idx > 1), op, local2trail))
 
 
