@@ -149,8 +149,9 @@ def _run(t, st, xs, stack, plan, undo):
                 l = op.l
                 if l.__class__ is Leaf:  # ret x | r: record x, then r
                     v = l.value
-                    for s in st[:p]:
-                        v = (v, s)
+                    if p:  # as for a leaf: p == 0 has no state to pair
+                        for s in st[:p]:
+                            v = (v, s)
                     xs, t = (v, xs), op.r
                 elif l.idx == t.idx and l.op.__class__ is Fail:  # fail | r = r
                     t = op.r

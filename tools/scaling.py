@@ -134,10 +134,10 @@ SHAPES = {
 }
 
 
-def run_cell(shape, rung, t, s0=0):
-    """The answer of rung on t, a tree of shape, from state s0."""
-    out = RUNGS[rung](t, s0)
-    return h_nil(h_state(out, s0) if SHAPES[shape][2] else out)
+def run_cell(shape, rung, t):
+    """The answer of rung on t, a tree of shape, from state 0."""
+    out = RUNGS[rung](t, 0)
+    return h_nil(h_state(out, 0) if SHAPES[shape][2] else out)
 
 
 def best_time(shape, rung, n, k):
