@@ -34,8 +34,10 @@ must be pure; the spine's end, unless a leaf or a fail, is deferred under f.
 An unread _Choice is such a spine not yet built: bind applies f to each of
 its values, left to right, and builds the Or nodes over the results once,
 as the walk would (choose is a foldr, and bind fuses with it: Gill,
-Launchbury & Peyton Jones, A Short Cut to Deforestation, FPCA 1993).  Any
-other tree has only the top node of its result built.  Each child of
+Launchbury & Peyton Jones, A Short Cut to Deforestation, FPCA 1993).  A
+_Choice that is a child of a bound node stays unread too: its deferred
+node holds it in place of its op, and binds it so on its own first read.
+Any other tree has only the top node of its result built.  Each child of
 that node is deferred under f = partial(_defer, q), q a continuation queue (a
 function, or a pair of queues, applied left to right).  Binding a deferred
 node that was not read yet appends to its queue instead of nesting, so a
@@ -250,7 +252,9 @@ def _defer(q, c):
         return _run_queue(q, c.value)
     if c.__class__ is _Deferred and c._f.__class__ is partial:
         return _Deferred(c.idx, c._op, partial(_defer, (c._f.args[0], q)))
-    return _Deferred(c.idx, c.op, partial(_defer, q))
+    # A choose node stands in for its own op, so that it stays unread.
+    return _Deferred(c.idx, c if c.__class__ is _Choice else c.op,
+                     partial(_defer, q))
 
 
 def _run_queue(q, x):
@@ -278,7 +282,9 @@ class _Deferred(Node):
     is a partial is bind's (tree_map's too), f = partial(_defer, q): bind
     and _defer append to its queue q.  So every other f, a forwarding
     site's resumption or a translation, must be a lambda or a module
-    function, never a partial.
+    function, never a partial.  _defer gives such a node an unread
+    _Choice as its op, which maps f by binding itself (see
+    _Choice.map_children).
     """
 
     __slots__ = ("_op", "_f")
@@ -417,6 +423,12 @@ class _Choice(Node):
                 t = Node(self.idx, Or(Leaf(x), t))
             self._op, self._xs = t.op, None
         return self._op
+
+    def map_children(self, f):
+        """The op of choose xs >>= q, for f = partial(_defer, q): _defer
+        keeps a choose node in place of its op, and bind builds the chain
+        from xs if it is still unread."""
+        return bind(self, lambda x: f(Leaf(x))).op
 
 
 def guard(b, at=1):

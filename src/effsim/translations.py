@@ -25,7 +25,7 @@ core's shared fail node at its new index.  A node that it expands either
 holds the update it keeps as such a node (the update arms of local2global_m
 and local2trail), or is a get whose step function translates the children
 it continues with: put_r's continuation, push_s's two branches, the two
-arms of local2trail's Or and each states2state continuation.  So no
+arms of local2trail's marked Or and each states2state continuation.  So no
 translation recurses on a deep input, the package needs no raised recursion
 limit, and a tree with stray operations reports the first one the run
 reaches.
@@ -55,6 +55,15 @@ and one write (put-put), a run of updates logs all its deltas in one write,
 and the Or step walks the right spine of its or chain, skipping each fail
 arm (fail | r = r) and recording each ret arm without a push or a pop.  So
 the state handler sees one get and one put per run, not one per node.
+
+The staged local2trail applies the two nondet rows at its Or too, where
+the paper pushes a marker for the left arm and untrails for the right one,
+and the two cancel for an arm that changes no state:
+
+    Or fail r@1     local2trail r, walked on down the right spine
+    Or (ret x) r@1  ret x | local2trail r, kept as core's deferred node
+
+so a nondet frame then records x without a choicepoint (handlers.run_stack).
 """
 
 from functools import cache, partial
@@ -540,7 +549,15 @@ def local2trail(t):
     """[ModifyF,NondetF|rest] -> [ModifyF,NondetF,StateF(Trail)|rest].
 
     Updates log their delta on the trail; the left branch of an Or pushes a
-    marker and the right branch untrails back to it.
+    marker and the right branch untrails back to it.  Two law rows leave
+    out the marker and the untrail of a left arm that changes no state:
+
+        Or fail r@1     local2trail r, walked on (fail | r = r)
+        Or (ret x) r@1  ret x | local2trail r, the Or kept as it is, its
+                        right arm translated when the run reaches it
+
+    The walk goes down the right spine in one loop while the left arm is a
+    fail@1, and reads the op only of the node the run reaches next.
     """
     return fold(Leaf, _local2trail, t)
 
@@ -549,7 +566,17 @@ def _local2trail(idx, op):
     if idx == 0 and op.__class__ is MUpdate:
         return push_stack(op.r, _Deferred(0, op, local2trail))
     if idx == 1 and op.__class__ is Or:
-        return or_(Node(_TRAIL, Get(partial(_local2trail_l, op.l))),
+        l = op.l
+        while l.__class__ is not Leaf and l.idx == 1 and \
+                l.op.__class__ is Fail:  # fail | r = r
+            r = op.r
+            if r.__class__ is Leaf or r.idx != 1 or r.op.__class__ is not Or:
+                return local2trail(r)
+            op = r.op
+            l = op.l
+        if l.__class__ is Leaf:  # ret x | r: no marker, no untrail
+            return _Deferred(1, op, local2trail)
+        return or_(Node(_TRAIL, Get(partial(_local2trail_l, l))),
                    Node(_TRAIL, Get(partial(_local2trail_r, op.r))), at=1)
     return (fail(at=idx + (idx > 1)) if op.__class__ is Fail
             else _Deferred(idx + (idx > 1), op, local2trail))

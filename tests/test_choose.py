@@ -111,6 +111,30 @@ def test_seq_on_choose_gives_the_tree_bind_gives(b, monkeypatch):
                                                 lambda _x: b))
 
 
+@pytest.mark.parametrize("binds", [1, 2])
+def test_bind_behind_an_operation_keeps_choose_unread(binds):
+    # choose behind a put is bound with no read of its op and no call of
+    # f; reading the bound node calls f on xs, and the chain is never
+    # built.  The tree text is the one a read choose gives.
+    def bound(c, calls):
+        t = seq(put(0), c)
+        for _ in range(binds):
+            t = bind(t, arm(calls))
+        return t
+
+    calls = []
+    c = choose([1, 2, 3])
+    t = bound(c, calls)
+    assert c._xs == (1, 2, 3) and calls == []
+    text = show_tree(t)
+    assert c._xs == (1, 2, 3) and calls[:3] == [1, 2, 3]
+    read = choose([1, 2, 3])
+    assert show_tree(read) == show_tree(eager_choose([1, 2, 3]))
+    assert read._xs is None
+    assert text == show_tree(bound(read, []))
+    assert h_nil(h_local(t, 0)) == h_nil(h_local(bound(read, []), 0))
+
+
 def test_first_read_builds_the_eager_chain_once():
     c = choose(x for x in (4, 5, 6))  # any iterable, read once
     assert c.op is c.op

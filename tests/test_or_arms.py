@@ -1,7 +1,10 @@
 """run_stack's nondet frame at an Or: a ret left arm is recorded and a fail
 left arm at the frame's own index skipped, with no choicepoint; any other
 left arm is pushed as before.  Each row is a hand-built or spine through one
-handler stack, with its answer written out."""
+handler stack, with its answer written out.  local2trail applies the same
+two rows at its Or, with no marker and no untrail for such an arm."""
+
+import random
 
 import pytest
 
@@ -12,7 +15,7 @@ from effsim.handlers import (
     run_stack, h_ndf, h_state, h_nil,
     h_local, h_global, h_local_m, h_global_m, h_global_t,
 )
-from effsim.translations import local2global, local2global_m
+from effsim.translations import local2global, local2global_m, local2trail
 
 
 def deferred_fail():
@@ -137,6 +140,23 @@ STRAYS = {
     "ndf-mget-behind-ret": (lambda: h_nil(h_ndf(spine(
         ret(1), mget(Leaf, at=0), at=0))),
         "h_ndf: non-nondet operation MGet at index 0"),
+    # local2trail walks past fail arms to the stray, which the run then
+    # reaches as it did through each arm's marker and untrail.
+    "global-t-get@0-behind-fails": (lambda: h_nil(h_global_t(spine(
+        fail(), fail(), get(Leaf)), 1)),
+        "h_modify: non-modify operation Get at index 0"),
+    "global-t-put@1-behind-fails": (lambda: h_nil(h_global_t(spine(
+        fail(), fail(), put(1, at=1)), 1)),
+        "h_ndf: non-nondet operation Put at index 1"),
+    "global-t-put@1-arm-behind-fail": (lambda: h_nil(h_global_t(spine(
+        fail(), put(1, at=1), ret(2)), 1)),
+        "h_ndf: non-nondet operation Put at index 1"),
+    "global-t-fail@0-arm-behind-fail": (lambda: h_nil(h_global_t(spine(
+        fail(), fail(at=0), ret(2)), 1)),
+        "h_modify: non-modify operation Fail at index 0"),
+    "global-t-put@1-behind-ret-and-fail": (lambda: h_nil(h_global_t(spine(
+        ret(1), fail(), put(1, at=1)), 1)),
+        "h_ndf: non-nondet operation Put at index 1"),
 }
 
 
@@ -146,3 +166,69 @@ def test_stray_left_arm_messages(row):
     with pytest.raises(ValueError) as info:
         run()
     assert str(info.value) == message
+
+
+# local2trail's two rows, as translations: fail arms at index 1 are walked
+# past (fail | r = r), and a ret arm keeps its Or with no marker and no
+# untrail, its right arm translated when the run reaches it.
+TRAIL_ENDS = {
+    "ret": lambda: ret(1),
+    "fail": fail,
+    "fail@0": lambda: fail(at=0),
+    "update": lambda: update(3, k=mget(Leaf)),
+    "put@2": lambda: put(4, at=2),
+    "get@0": lambda: get(Leaf),
+    "update-arm": lambda: spine(update(2, k=ret(2)), ret(5)),
+    "ret-arm": lambda: spine(ret(2), update(3, k=ret(4))),
+    "deferred-fail-arm": lambda: spine(deferred_fail(), ret(6)),
+}
+
+
+@pytest.mark.parametrize("end", list(TRAIL_ENDS))
+def test_local2trail_walks_past_fail_arms(end):
+    r = TRAIL_ENDS[end]
+    assert show_tree(local2trail(spine(fail(), fail(), r()))) == \
+        show_tree(local2trail(r()))
+
+
+def test_local2trail_keeps_a_ret_arm_or_and_marks_any_other():
+    t = local2trail(spine(ret(1), fail(), ret(2), update(3, k=ret(4))))
+    assert show_tree(t) == "or@1 (ret 1) (or@1 (ret 2) (get@2 <fun>))"
+    t = local2trail(spine(update(2, k=ret(1)), fail(), ret(2)))
+    assert show_tree(t) == "or@1 (get@2 <fun>) (get@2 <fun>)"
+
+
+def mixed_spine(rng, depth, third):
+    """A random or spine of fail, ret, update and, when third, index-2 put
+    arms, ending in a fail or a read; an update arm continues with another
+    spine while depth lasts."""
+    kinds = ("fail", "ret", "update") + (("put@2",) if third else ())
+    arms = []
+    for _ in range(rng.randint(1, 6)):
+        kind, v = rng.choice(kinds), rng.randint(-3, 3)
+        if kind == "fail":
+            arms.append(fail())
+        elif kind == "ret":
+            arms.append(ret(v))
+        elif kind == "update":
+            arms.append(update(v, k=mixed_spine(rng, depth - 1, third)
+                               if depth else mget(Leaf)))
+        else:
+            arms.append(put(v, at=2, k=mget(Leaf)))
+    arms.append(rng.choice((fail(), mget(Leaf))))
+    return spine(*arms)
+
+
+@pytest.mark.parametrize("third", [False, True], ids=["two", "forwarded"])
+def test_global_t_gives_local_m_answers_on_mixed_spines(third):
+    # h_global_t runs local2trail's rows; h_local_m runs no translation.
+    # With a third family at index 2, h_state closes both residual trees.
+    rng, answers = random.Random(30), 0
+    for _ in range(60):
+        t, s = mixed_spine(rng, 2, third), rng.randint(-3, 3)
+        got, want = h_global_t(t, s), h_local_m(t, s)
+        if third:
+            got, want = h_state(got, 100), h_state(want, 100)
+        assert h_nil(got) == h_nil(want)
+        answers += bool(h_nil(want)[0] if third else h_nil(want))
+    assert answers > 50

@@ -17,7 +17,7 @@ def _tool():
 
 def test_the_table_holds_every_shape_with_its_rungs():
     tool = _tool()
-    assert len(tool.SHAPES) == 15
+    assert len(tool.SHAPES) == 16
     for shape, (_build, rungs, forwarded) in tool.SHAPES.items():
         assert rungs in (tool.STATE, tool.MODIFY, tool.BOTH), shape
         assert forwarded == (shape == "forwarded")
@@ -36,6 +36,7 @@ def test_every_rung_of_a_shape_gives_the_same_answer():
     assert answer("put-chain", "local", 5) == [5]
     assert answer("choose-bind-update", "fusedTF", 5) == [1, 2, 3, 4, 5]
     assert answer("left-or", "sim", 3) == [0, 1, 2, 3]
+    assert answer("fail-ret-spine", "globalT", 5) == [2, 4]
     assert answer("forwarded", "fusedF", 3) == ([0, 1, 2, 3], 3)
 
 

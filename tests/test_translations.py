@@ -259,9 +259,13 @@ def test_simulate_t_scales():
 
 # Every translation, staged or fused, translates each node when the run
 # reaches it, so no pipeline recurses: 40 000-long inputs run under the
-# interpreter's default recursion limit, set in a child process.
-_DEEP_STATE = "[40000]\n40000 0 39999 799980000\n[40000]\n"
-_DEEP_MODIFY = "[800020000]\n40000 0 39999 799980000\n[800020000]\n"
+# interpreter's default recursion limit, set in a child process.  The last
+# two are or spines of 40 000 fail arms and of 40 000 ret arms, each closed
+# by a read, which every law row (local2trail's too) walks in one loop.
+_DEEP_SPINES = "[0]\n40001 1 40000 800020000\n"
+_DEEP_STATE = "[40000]\n40000 0 39999 799980000\n[40000]\n" + _DEEP_SPINES
+_DEEP_MODIFY = ("[800020000]\n40000 0 39999 799980000\n[800020000]\n"
+                + _DEEP_SPINES)
 _DEEP = {
     "global": ("put", "get", _DEEP_STATE),
     "sim": ("put", "get", _DEEP_STATE),
@@ -275,7 +279,8 @@ _DEEP = {
 def test_simulations_take_deep_inputs_without_raised_limit(name):
     op, close, expected = _DEEP[name]
     code = (
-        "from effsim.core import Leaf, seq, choose, %s as op, %s as close\n"
+        "from effsim.core import Leaf, seq, choose, or_, fail, %s as op, "
+        "%s as close\n"
         "from effsim.queens import RUNNERS\n"
         "from effsim.handlers import INT_UNDO\n"
         "run = lambda t: RUNNERS[%r](t, 0, INT_UNDO)\n"
@@ -289,6 +294,12 @@ def test_simulations_take_deep_inputs_without_raised_limit(name):
         "for v in range(2, 40001):\n"
         "    left = seq(left, op(v))\n"
         "print(run(seq(left, close(Leaf))))\n"
+        "fails = rets = close(Leaf)\n"
+        "for v in range(40000, 0, -1):\n"
+        "    fails, rets = or_(fail(), fails), or_(Leaf(v), rets)\n"
+        "print(run(fails))\n"
+        "xs = run(rets)\n"
+        "print(len(xs), xs[0], xs[-2], sum(xs))\n"
         % (op, close, name))
     assert run_child(code) == expected
 

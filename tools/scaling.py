@@ -13,11 +13,12 @@ tools/pairs.py it only reports; it asserts no timing.
 The shapes are the put and update chains; left-nested seqs of puts and of
 updates; a left-nested or; put-then-or and update-then-or chains; or chains
 whose arms are a put or an update; balanced or trees over puts and over
-updates; choose xs >>= put and >>= update; a plain choose xs; and a chain of
-n puts of a third family, forwarded by every rung, reached under n pending
-choicepoints and closed by h_state after the rung.  A state shape runs
-through the state rungs, a modify shape through the modify rungs, and a
-shape with neither through both.
+updates; choose xs >>= put and >>= update; a plain choose xs; an or spine
+whose arms alternate fail and ret v, the shape of queens' failed guards;
+and a chain of n puts of a third family, forwarded by every rung, reached
+under n pending choicepoints and closed by h_state after the rung.  A state
+shape runs through the state rungs, a modify shape through the modify
+rungs, and a shape with neither through both.
 """
 
 import os
@@ -130,6 +131,9 @@ SHAPES = {
                                               update), mget(Leaf)),
                            MODIFY, False),
     "choose": (lambda n: choose(range(1, n + 1)), BOTH, False),
+    "fail-ret-spine": (lambda n: _chain(
+        n, lambda v, k: or_(ret(v) if v % 2 == 0 else fail(), k), fail()),
+        BOTH, False),
     "forwarded": (_forwarded, BOTH, True),
 }
 
