@@ -26,26 +26,22 @@ whose deltas translations.simulate_t_tree has logged, so none of them
 recurses on a long chain of operations, and the package needs no raised
 recursion limit.
 
-bind walks one shape when the tree is built: an or spine, a chain of
-concrete Or nodes at one index whose left arms are leaves (what choose
-builds).  It applies f to each leaf arm at once, left to right, and
-rebuilds the spine's Or nodes over the results, so f runs at build time and
-must be pure; the spine's end, unless a leaf or a fail, is deferred under f.
-An unread _Choice is such a spine not yet built: bind applies f to each of
-its values, left to right, and builds the Or nodes over the results once,
-as the walk would (choose is a foldr, and bind fuses with it: Gill,
-Launchbury & Peyton Jones, A Short Cut to Deforestation, FPCA 1993).  A
-_Choice that is a child of a bound node stays unread too: its deferred
-node holds it in place of its op, and binds it so on its own first read.
+bind builds one shape when the tree is built: an unread _Choice, choose's
+or spine not yet built.  It applies f to each of its values, left to right,
+so f runs at build time and must be pure, and builds the Or nodes over the
+results once (choose is a foldr, and bind fuses with it: Gill, Launchbury &
+Peyton Jones, A Short Cut to Deforestation, FPCA 1993).  A _Choice that is
+a child of a bound node stays unread too: its deferred node holds it in
+place of its op, and binds it so on its own first read.
+
 Any other tree has only the top node of its result built.  Each child of
-that node is deferred under f = partial(_defer, q), q a continuation queue (a
-function, or a pair of queues, applied left to right).  Binding a deferred
+that node is deferred under f = partial(_defer, q), q a continuation queue
+(a function, or a pair of queues, applied left to right).  Binding a deferred
 node that was not read yet appends to its queue instead of nesting, so a
-bind that meets no or spine is O(1) work and a left-nested seq of n
-operations costs O(n) (Kiselyov & Ishii, Freer Monads, More Extensible
-Effects, 2015).  The walk reads no _Deferred node and never passes a put,
-get or update.  A leaf child is never deferred: the queue is applied to its
-value at once, and _defer reads one node at a time.  Forwarding returns
+bind on any other tree is O(1) work and a left-nested seq of n operations
+costs O(n) (Kiselyov & Ishii, Freer Monads, More Extensible Effects, 2015).
+A leaf child is never deferred: the queue is applied to its value at once,
+and _defer reads one node at a time.  Forwarding returns
 _Deferred(shifted idx, op, resume), a translation keeps a node as
 _Deferred(new idx, op, translation), and tree_map defers each child under
 return . f.  So a deferred node is always an operation node with the
@@ -195,22 +191,17 @@ def bind(t, f):
 
     On choose xs whose op was not read, f is called on each value left to
     right, and Or(f(x1), ... Or(f(xn), fail)) is built from the end up,
-    with no node of choose's chain built.  A concrete Or whose left arm is
-    a leaf starts an or spine, the shape of a read choose xs, and
-    (l | r) >>= f = (l >>= f) | (r >>= f) and ret x >>= f = f x are
-    applied down the spine in one loop, f called on each leaf arm left to
-    right, until a node that is not a concrete Or at the same index with a
-    leaf left arm.
-    That end becomes f(x) if it is a leaf, stays as it is if it is a
-    concrete fail, and is deferred under f otherwise; the Or nodes are then
-    rebuilt from the end up.  So f runs when the tree is built, and must be
-    pure.  The walk reads no _Deferred node and passes no other operation.
+    with no node of choose's chain built.  So f runs when the tree is
+    built, and must be pure.
 
     Any other t has only its top node built now, its children deferred
     under f (see the module docstring): one map_children call whatever the
-    size of t.  A Fail node, which has no children, is returned as it is.
-    seq (a >> b) applies these equations, and one for a put, update or
-    restore that ends in a leaf, before it builds a continuation.
+    size of t.  A leaf child is not deferred, so f runs at once on the
+    leaf arm of a concrete Or, and a read choose xs is bound one arm at a
+    time as its spine is read.  A Fail node, which has no children, is
+    returned as it is.  seq (a >> b) applies these equations, and one for
+    a put, update or restore that ends in a leaf, before it builds a
+    continuation.
     """
     c = t.__class__
     if c is Leaf:
@@ -219,26 +210,13 @@ def bind(t, f):
         return _defer(f, t)
     if c is _Choice and t._xs is not None:  # choose xs >>= f: no chain built
         idx, arms, t = t.idx, list(map(f, t._xs)), _FAILS[t.idx]
-    else:
-        op = t.op
-        if op.__class__ is Fail:  # no children: fail >>= f = fail
-            return t
-        if op.__class__ is not Or or c is _Deferred or \
-                op.l.__class__ is not Leaf:
-            return Node(t.idx, op.map_children(partial(_defer, f)))
-        idx, arms = t.idx, []
-        while op.__class__ is Or and op.l.__class__ is Leaf:
-            arms.append(f(op.l.value))
-            t = op.r
-            c = t.__class__
-            if c is Leaf or c is _Deferred or t.idx != idx:
-                break
-            op = t.op
-        if c is Leaf or c is _Deferred or t.op.__class__ is not Fail:
-            t = _defer(f, t)  # f(x) for a leaf end
-    for a in reversed(arms):
-        t = Node(idx, Or(a, t))
-    return t
+        for a in reversed(arms):
+            t = Node(idx, Or(a, t))
+        return t
+    op = t.op
+    if op.__class__ is Fail:  # no children: fail >>= f = fail
+        return t
+    return Node(t.idx, op.map_children(partial(_defer, f)))
 
 
 def _defer(q, c):

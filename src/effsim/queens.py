@@ -56,8 +56,8 @@ def q_minus(s, r):
     return (c - 1, sol[1:])
 
 
-# Like RUNNERS below, these look q_plus and q_minus up when called, so that
-# a module attribute rebound later sees every call.
+# Like RUNGS below, these look q_plus and q_minus up when called, so that a
+# module attribute rebound later sees every call.
 QUEENS_UNDO = Undo(lambda s, r: q_plus(s, r), lambda s, r: q_minus(s, r))
 
 INITIAL = (0, [])
@@ -107,22 +107,34 @@ def queens_m(n):
     return loop()
 
 
-# Each pipeline once, as a function of (tree, initial state, Undo instance).
-# The entries name their handlers when called, not when defined, so that a
-# module attribute rebound later (a tracing wrapper, say) sees every call.
-RUNNERS = {
-    "naive": lambda t, s, undo: h_nd(t),
-    "local": lambda t, s, undo: h_nil(h_local(t, s)),
-    "global": lambda t, s, undo: h_nil(h_global(local2global(t), s)),
-    "sim": lambda t, s, undo: h_nil(simulate(t, s)),
-    "fusedF": lambda t, s, undo: h_nil(simulate_f(t, s)),
-    "localM": lambda t, s, undo: h_nil(h_local_m(t, s, undo)),
-    "globalM": lambda t, s, undo: h_nil(
-        h_global_m(local2global_m(t), s, undo)),
-    "globalT": lambda t, s, undo: h_nil(h_global_t(t, s, undo)),
-    "simT": lambda t, s, undo: h_nil(simulate_t(t, s, undo)),
-    "fusedTF": lambda t, s, undo: h_nil(simulate_tf(t, s, undo)),
+# Each state and modify rung once, open: a function of (tree, initial state,
+# Undo instance) to the residual tree, which keeps every operation at an
+# index past the rung's own two families.  The entries name their handlers
+# and translations when called, not when defined, so that a module
+# attribute rebound later (a tracing wrapper, say) sees every call.
+STATE_RUNGS = ("local", "global", "sim", "fusedF")
+MODIFY_RUNGS = ("localM", "globalM", "globalT", "simT", "fusedTF")
+RUNGS = {
+    "local": lambda t, s, undo: h_local(t, s),
+    "global": lambda t, s, undo: h_global(local2global(t), s),
+    "sim": lambda t, s, undo: simulate(t, s),
+    "fusedF": lambda t, s, undo: simulate_f(t, s),
+    "localM": lambda t, s, undo: h_local_m(t, s, undo),
+    "globalM": lambda t, s, undo: h_global_m(local2global_m(t), s, undo),
+    "globalT": lambda t, s, undo: h_global_t(t, s, undo),
+    "simT": lambda t, s, undo: simulate_t(t, s, undo),
+    "fusedTF": lambda t, s, undo: simulate_tf(t, s, undo),
 }
+
+
+def _closed(name):
+    """RUNGS[name], also looked up when called, closed by h_nil."""
+    return lambda t, s, undo: h_nil(RUNGS[name](t, s, undo))
+
+
+# Each pipeline, closed: naive and every rung.
+RUNNERS = {"naive": lambda t, s, undo: h_nd(t),
+           **{name: _closed(name) for name in RUNGS}}
 
 
 def _pipeline(name, program):
@@ -131,11 +143,9 @@ def _pipeline(name, program):
     return lambda n: RUNNERS[name](globals()[program](n), INITIAL, QUEENS_UNDO)
 
 
-PIPELINES = {name: _pipeline(name, program) for name, program in (
-    ("naive", "queens_naive"), ("local", "queens"), ("global", "queens"),
-    ("sim", "queens"), ("fusedF", "queens"), ("localM", "queens_m"),
-    ("globalM", "queens_m"), ("globalT", "queens_m"), ("simT", "queens_m"),
-    ("fusedTF", "queens_m"))}
+PIPELINES = {"naive": _pipeline("naive", "queens_naive"),
+             **{name: _pipeline(name, "queens") for name in STATE_RUNGS},
+             **{name: _pipeline(name, "queens_m") for name in MODIFY_RUNGS}}
 
 
 def run_pipeline(name, n):

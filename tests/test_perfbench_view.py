@@ -5,7 +5,8 @@ import importlib.util
 import os
 
 import effsim.cli  # noqa: F401  (the tracer must see every effsim module)
-from effsim import core
+from effsim import core, queens
+from effsim.handlers import INT_UNDO
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -19,21 +20,53 @@ def _load(name):
     return mod
 
 
+# The handlers, translations and machines each pipeline names when called.
+NAMED = {
+    "naive": ("handlers.h_nd",),
+    "local": ("handlers.h_local",),
+    "global": ("handlers.h_global", "translations.local2global"),
+    "sim": ("translations.simulate",),
+    "fusedF": ("machines.simulate_f",),
+    "localM": ("handlers.h_local_m",),
+    "globalM": ("handlers.h_global_m", "translations.local2global_m"),
+    "globalT": ("handlers.h_global_t",),
+    "simT": ("translations.simulate_t",),
+    "fusedTF": ("machines.simulate_tf",),
+}
+
+
+def _tree(name):
+    """A small tree over the pipeline's families, and its answer from 0."""
+    if name == "naive":
+        return core.choose([1, 2, 3], at=0), [1, 2, 3]
+    get, put = ((core.get, core.put) if name in queens.STATE_RUNGS
+                else (core.mget, core.update))
+    return core.or_(put(1, k=get(core.ret)), get(core.ret)), [1, 0]
+
+
 def test_tracer_sees_every_call_and_workloads_run():
     tracer = _load("tracer").Tracer()
-    workloads = _load("workloads")
+    copies = _load("workloads").pipeline_runners()
     tracer.install()
     try:
         # A function the tracer cannot wrap, such as one held as a default
         # argument, silently drops out of the traced run's counts.
         assert tracer.blind_spots == []
-        for name, run in workloads.pipeline_runners().items():
-            t = core.choose([1, 2, 3], at=0 if name == "naive" else 1)
-            assert run(t, 0) == [1, 2, 3], name
-        assert tracer.calls["handlers.h_nd"] > 0
+        # Each runner of the package, and perfbench's copy of it, gives the
+        # tree's answer through the functions the runner names.  A function
+        # held in a table in place of a lambda that names it would keep the
+        # original, and its calls would drop out of the counts.
+        assert list(copies) == list(queens.RUNNERS)
+        for name, run in queens.RUNNERS.items():
+            t, answer = _tree(name)
+            for side in (lambda: run(t, 0, INT_UNDO),
+                         lambda: copies[name](t, 0)):
+                tracer.reset()
+                assert side() == answer, name
+                for f in NAMED[name]:
+                    assert tracer.calls[f] > 0, (name, f)
     finally:
         tracer.uninstall()
-
 
 
 def test_tracer_counts_difftest_calls():

@@ -125,9 +125,10 @@ def test_queens_naive_is_the_lexicographic_or_chain(n):
 @pytest.mark.parametrize("name", ["local", "sim", "fusedF", "localM",
                                   "fusedTF"])
 def test_queens_builds_no_deferred_node(name, monkeypatch):
-    # Counts, not time: bind walks each choose's or spine when the tree is
-    # built, so these pipelines defer no node (894 at n=6 when bind built
-    # only the top Or of each choose).
+    # Counts, not time: bind on each unread choose builds its arms when the
+    # tree is built, and no node of choose's chain, so these pipelines
+    # defer no node (894 at n=6 when bind built only the top Or of each
+    # choose).
     made = [0]
     init = core._Deferred.__init__
 

@@ -8,13 +8,13 @@ import pytest
 from effsim.core import Leaf, bind, get, put, or_, seq, mget, update
 from effsim.difftest import gen_program, lower
 from effsim.handlers import (
-    h_nd, h_state, h_modify, h_ndf, h_nil,
-    h_local, h_global, h_local_m, h_global_m, h_global_t,
+    INT_UNDO, h_nd, h_state, h_modify, h_ndf, h_nil, h_local,
 )
 from effsim.machines import simulate_f, simulate_tf
+from effsim.queens import RUNGS, STATE_RUNGS, MODIFY_RUNGS
 from effsim.translations import (
-    nondet2state, states2state, local2global, local2global_m,
-    simulate, simulate_t, simulate_tree, simulate_t_tree,
+    nondet2state, states2state, simulate, simulate_t, simulate_tree,
+    simulate_t_tree,
 )
 from child import run_child
 
@@ -119,33 +119,17 @@ def _third_family_program(put0, get0):
                                         get(lambda y: Leaf((x, y)), at=2))))))
 
 
-STATE_PIPELINES = {
-    "local": h_local,
-    "global": lambda t, s: h_global(local2global(t), s),
-    "sim": simulate,
-    "fusedF": simulate_f,
-}
-
-MODIFY_PIPELINES = {
-    "localM": h_local_m,
-    "globalM": lambda t, s: h_global_m(local2global_m(t), s),
-    "globalT": h_global_t,
-    "simT": simulate_t,
-    "fusedTF": simulate_tf,
-}
-
-
-@pytest.mark.parametrize("name", list(STATE_PIPELINES))
+@pytest.mark.parametrize("name", STATE_RUNGS)
 def test_state_pipelines_forward_a_third_family(name):
     t = _third_family_program(put, get)
-    out = h_nil(h_state(STATE_PIPELINES[name](t, 0), 100))
+    out = h_nil(h_state(RUNGS[name](t, 0, INT_UNDO), 100))
     assert out == ([(1, 100), (5, 50)], 50)
 
 
-@pytest.mark.parametrize("name", list(MODIFY_PIPELINES))
+@pytest.mark.parametrize("name", MODIFY_RUNGS)
 def test_modify_pipelines_forward_a_third_family(name):
     t = _third_family_program(update, mget)
-    out = h_nil(h_state(MODIFY_PIPELINES[name](t, 0), 100))
+    out = h_nil(h_state(RUNGS[name](t, 0, INT_UNDO), 100))
     assert out == ([(1, 100), (6, 60)], 60)
 
 
@@ -156,18 +140,9 @@ def test_modify_pipelines_forward_a_third_family(name):
 # recursion limit, set in a child process.  The staged translations keep a
 # forwarded operation as that node too, so global, globalM and globalT
 # forward such chains as well.
-_DEEP_FORWARD = {
-    "local": (2, "h_local(t, 0)", "([40000], 40000)"),
-    "global": (2, "h_global(local2global(t), 0)", "([40000], 40000)"),
-    "localM": (2, "h_local_m(t, 0)", "([40000], 40000)"),
-    "globalM": (2, "h_global_m(local2global_m(t), 0)", "([40000], 40000)"),
-    "globalT": (2, "h_global_t(t, 0)", "([40000], 40000)"),
-    "sim": (2, "simulate(t, 0)", "([40000], 40000)"),
-    "simT": (2, "simulate_t(t, 0)", "([40000], 40000)"),
-    "fusedF": (2, "simulate_f(t, 0)", "([40000], 40000)"),
-    "fusedTF": (2, "simulate_tf(t, 0)", "([40000], 40000)"),
-    "h_state": (1, "h_state(t, 'a')", "((40000, 'a'), 40000)"),
-}
+_DEEP_FORWARD = {name: (2, "RUNGS[%r](t, 0, INT_UNDO)" % name,
+                         "([40000], 40000)") for name in RUNGS}
+_DEEP_FORWARD["h_state"] = (1, "h_state(t, 'a')", "((40000, 'a'), 40000)")
 
 
 @pytest.mark.parametrize("name", list(_DEEP_FORWARD))
@@ -175,11 +150,8 @@ def test_deep_forwarding_without_raised_limit(name):
     at, run, expected = _DEEP_FORWARD[name]
     code = (
         "from effsim.core import Leaf, get, put\n"
-        "from effsim.handlers import h_state, h_nil, h_local, h_local_m\n"
-        "from effsim.handlers import h_global, h_global_m, h_global_t\n"
-        "from effsim.translations import simulate, simulate_t\n"
-        "from effsim.translations import local2global, local2global_m\n"
-        "from effsim.machines import simulate_f, simulate_tf\n"
+        "from effsim.handlers import INT_UNDO, h_state, h_nil\n"
+        "from effsim.queens import RUNGS\n"
         "t = get(Leaf, at=%d)\n"
         "for v in range(40000, 0, -1):\n"
         "    t = put(v, at=%d, k=t)\n"
@@ -192,9 +164,8 @@ def test_deep_forwarding_without_raised_limit(name):
 # 2, which every pipeline forwards.  Closed with h_state, each pipeline must
 # give the answers of local (state pipelines) or localM (modify pipelines).
 _FORWARD_LAYOUTS = (
-    (STATE_PIPELINES, "local", {"state": 0, "nondet": 1,
-                                "modify_as_state": 2}),
-    (MODIFY_PIPELINES, "localM", {"modify": 0, "nondet": 1, "state": 2}),
+    (STATE_RUNGS, {"state": 0, "nondet": 1, "modify_as_state": 2}),
+    (MODIFY_RUNGS, {"modify": 0, "nondet": 1, "state": 2}),
 )
 
 
@@ -203,11 +174,11 @@ def test_forwarding_pipelines_agree_on_random_programs():
     for seed in range(300):
         ast = gen_program(seed, 5, ("state", "nondet", "modify"))
         s0, a0 = seed % 3, seed % 5 - 2
-        for pipelines, ref, layout in _FORWARD_LAYOUTS:
+        for rungs, layout in _FORWARD_LAYOUTS:
             t = lower(ast, layout)
-            want = h_nil(h_state(pipelines[ref](t, s0), a0))
-            for name, run in pipelines.items():
-                got = h_nil(h_state(run(t, s0), a0))
+            want = h_nil(h_state(RUNGS[rungs[0]](t, s0, INT_UNDO), a0))
+            for name in rungs:
+                got = h_nil(h_state(RUNGS[name](t, s0, INT_UNDO), a0))
                 if got != want:
                     disagreements.append((seed, name, got, want))
     assert disagreements == []

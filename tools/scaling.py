@@ -18,7 +18,8 @@ whose arms alternate fail and ret v, the shape of queens' failed guards;
 and a chain of n puts of a third family, forwarded by every rung, reached
 under n pending choicepoints and closed by h_state after the rung.  A state
 shape runs through the state rungs, a modify shape through the modify
-rungs, and a shape with neither through both.
+rungs, and a shape with neither through both, each rung as
+effsim.queens.RUNGS defines it.
 """
 
 import os
@@ -31,29 +32,11 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from effsim.core import (  # noqa: E402
     Leaf, bind, seq, ret, get, put, fail, or_, mget, update, choose,
 )
-from effsim.handlers import (  # noqa: E402
-    h_state, h_nil, h_local, h_global, h_local_m, h_global_m, h_global_t,
-)
-from effsim.machines import simulate_f, simulate_tf  # noqa: E402
-from effsim.translations import (  # noqa: E402
-    local2global, local2global_m, simulate, simulate_t,
+from effsim.handlers import INT_UNDO, h_state, h_nil  # noqa: E402
+from effsim.queens import (  # noqa: E402
+    RUNGS, STATE_RUNGS as STATE, MODIFY_RUNGS as MODIFY,
 )
 
-# Each rung as a function of (tree, initial state) to its residual tree.
-STATE_RUNGS = {
-    "local": h_local,
-    "global": lambda t, s: h_global(local2global(t), s),
-    "sim": simulate,
-    "fusedF": simulate_f,
-}
-MODIFY_RUNGS = {
-    "localM": h_local_m,
-    "globalM": lambda t, s: h_global_m(local2global_m(t), s),
-    "globalT": h_global_t,
-    "simT": simulate_t,
-    "fusedTF": simulate_tf,
-}
-RUNGS = {**STATE_RUNGS, **MODIFY_RUNGS}
 N, K = 2000, 3  # the smaller size, and the runs of which the best is kept
 
 
@@ -99,7 +82,7 @@ def _forwarded(n):
     return t
 
 
-STATE, MODIFY, BOTH = tuple(STATE_RUNGS), tuple(MODIFY_RUNGS), tuple(RUNGS)
+BOTH = STATE + MODIFY
 
 # name -> (tree builder of n, rungs, whether h_state closes a third family)
 SHAPES = {
@@ -140,7 +123,7 @@ SHAPES = {
 
 def run_cell(shape, rung, t):
     """The answer of rung on t, a tree of shape, from state 0."""
-    out = RUNGS[rung](t, 0)
+    out = RUNGS[rung](t, 0, INT_UNDO)
     return h_nil(h_state(out, 0) if SHAPES[shape][2] else out)
 
 
