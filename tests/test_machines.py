@@ -1,11 +1,11 @@
-"""Fused machines: agreement with the composed pipelines, traces, deep runs."""
+"""Fused machines: agreement with the composed pipelines, and traces."""
 
 import random
 
 import pytest
 
 from effsim.core import (
-    Leaf, ret, get, put, fail, or_, choose, seq, mget, update, restore,
+    Leaf, ret, get, put, fail, or_, seq, mget, update, restore,
 )
 from effsim.handlers import Undo, h_nil, h_local, h_local_m, h_global_t
 from effsim.machines import simulate_f, simulate_tf
@@ -26,42 +26,6 @@ def test_simulate_f_equals_simulate():
         s0 = rng.randint(0, 9)
         assert h_nil(simulate_f(t, s0)) == h_nil(simulate(t, s0)) \
             == h_nil(h_local(t, s0))
-
-
-def test_simulate_f_deep_chain():
-    # 10k sequential puts then a get: no Python recursion involved.
-    t = get(ret)
-    for i in range(10_000):
-        t = seq(put(i), t)
-    assert h_nil(simulate_f(t, -1)) == [0]
-
-
-def test_simulate_f_wide_or():
-    t = choose(range(5_000))
-    assert h_nil(simulate_f(t, 0)) == list(range(5_000))
-
-
-# Size-scaling checks: results only, never time.  Each result is bound to a
-# name first, so that a failing assert does not print a 200 000-deep tree.
-
-def test_simulate_f_scales():
-    out = h_nil(simulate_f(choose(range(200_000)), 0))
-    assert out == list(range(200_000))
-    t = get(ret)
-    for i in range(200_000):
-        t = seq(put(i), t)
-    out = h_nil(simulate_f(t, -1))
-    assert out == [0]
-
-
-def test_simulate_tf_scales():
-    out = h_nil(simulate_tf(choose(range(200_000)), 0))
-    assert out == list(range(200_000))
-    t = mget(ret)
-    for _ in range(200_000):
-        t = seq(update(1, at=0), t)
-    out = h_nil(simulate_tf(t, 0))
-    assert out == [200_000]
 
 
 def test_simulate_f_trace():
@@ -127,13 +91,6 @@ def test_simulate_tf_trace_untrail():
     assert h_nil(simulate_tf(t, 10, trace=trace)) == [14, 10]
     ops = [rec[0] for rec in trace]
     assert ops == ["or", "update", "mget", "ret", "untrail", "mget", "ret"]
-
-
-def test_simulate_tf_deep_chain():
-    t = mget(ret)
-    for _ in range(10_000):
-        t = seq(update(1, at=0), t)
-    assert h_nil(simulate_tf(t, 0)) == [10_000]
 
 
 def test_simulate_tf_restore():

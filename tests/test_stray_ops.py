@@ -16,7 +16,6 @@ from effsim.translations import (
     nondet2state, states2state, simulate, simulate_t, simulate_tree,
     simulate_t_tree,
 )
-from child import run_child
 
 
 def _behind_two_forwarded():
@@ -136,27 +135,10 @@ def test_modify_pipelines_forward_a_third_family(name):
 # Every forwarding site returns the deferred node of effsim.core, which runs
 # the resumption over an operation's children on the first read of its op.
 # So a chain of forwarded operations nests no call of the loop that
-# forwarded it, and 40 000-long chains run under the interpreter's default
-# recursion limit, set in a child process.  The staged translations keep a
-# forwarded operation as that node too, so global, globalM and globalT
-# forward such chains as well.
-_DEEP_FORWARD = {name: (2, "RUNGS[%r](t, 0, INT_UNDO)" % name,
-                         "([40000], 40000)") for name in RUNGS}
-_DEEP_FORWARD["h_state"] = (1, "h_state(t, 'a')", "((40000, 'a'), 40000)")
-
-
-@pytest.mark.parametrize("name", list(_DEEP_FORWARD))
-def test_deep_forwarding_without_raised_limit(name):
-    at, run, expected = _DEEP_FORWARD[name]
-    code = (
-        "from effsim.core import Leaf, get, put\n"
-        "from effsim.handlers import INT_UNDO, h_state, h_nil\n"
-        "from effsim.queens import RUNGS\n"
-        "t = get(Leaf, at=%d)\n"
-        "for v in range(40000, 0, -1):\n"
-        "    t = put(v, at=%d, k=t)\n"
-        "print(h_nil(h_state(%s, 0)))\n" % (at, at, run))
-    assert run_child(code) == expected + "\n"
+# forwarded it.  The staged translations keep a forwarded operation as that
+# node too, so every rung and h_state forward 40 000-long chains under the
+# default recursion limit: the forwarded-chain and put-chain-at-1 rows of
+# test_long_inputs.
 
 
 # Differential check of forwarding: random programs over state, nondet and

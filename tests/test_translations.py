@@ -1,6 +1,5 @@
 """Translations: putR, choicepoint-state machines, state merging, trails."""
 
-import ast
 import random
 
 import pytest
@@ -19,7 +18,6 @@ from effsim.translations import (
     simulate_t,
 )
 from effsim.difftest import alpha
-from child import run_child
 from paper_forms import eager_fold, swap
 
 
@@ -234,190 +232,9 @@ def test_simulate_t_equals_h_local_m():
         assert h_nil(simulate_t(t, s0)) == h_nil(h_local_m(t, s0))
 
 
-# Size-scaling checks: results only, never time.  Each result is bound to a
-# name first, so that a failing assert does not print a 10 000-deep tree.
-
-def test_simulate_scales():
-    t = get(ret)
-    for i in range(10_000):
-        t = seq(put(i), t)
-    out = h_nil(simulate(t, -1))
-    assert out == [0]
-    out = h_nil(simulate(choose(range(10_000)), 0))
-    assert out == list(range(10_000))
-
-
-def test_simulate_t_scales():
-    t = mget(ret)
-    for _ in range(10_000):
-        t = seq(update(1, at=0), t)
-    out = h_nil(simulate_t(t, 0))
-    assert out == [10_000]
-    out = h_nil(simulate_t(choose(range(10_000)), 0))
-    assert out == list(range(10_000))
-
-
 # Every translation, staged or fused, translates each node when the run
-# reaches it, so no pipeline recurses: 40 000-long inputs run under the
-# interpreter's default recursion limit, set in a child process.  The last
-# two are or spines of 40 000 fail arms and of 40 000 ret arms, each closed
-# by a read, which every law row (local2trail's too) walks in one loop.
-_DEEP_SPINES = "[0]\n40001 1 40000 800020000\n"
-_DEEP_STATE = "[40000]\n40000 0 39999 799980000\n[40000]\n" + _DEEP_SPINES
-_DEEP_MODIFY = ("[800020000]\n40000 0 39999 799980000\n[800020000]\n"
-                + _DEEP_SPINES)
-_DEEP = {
-    "global": ("put", "get", _DEEP_STATE),
-    "sim": ("put", "get", _DEEP_STATE),
-    "globalM": ("update", "mget", _DEEP_MODIFY),
-    "globalT": ("update", "mget", _DEEP_MODIFY),
-    "simT": ("update", "mget", _DEEP_MODIFY),
-}
-
-
-@pytest.mark.parametrize("name", list(_DEEP))
-def test_simulations_take_deep_inputs_without_raised_limit(name):
-    op, close, expected = _DEEP[name]
-    code = (
-        "from effsim.core import Leaf, seq, choose, or_, fail, %s as op, "
-        "%s as close\n"
-        "from effsim.queens import RUNNERS\n"
-        "from effsim.handlers import INT_UNDO\n"
-        "run = lambda t: RUNNERS[%r](t, 0, INT_UNDO)\n"
-        "chain = close(Leaf)\n"
-        "for v in range(40000, 0, -1):\n"
-        "    chain = seq(op(v), chain)\n"
-        "print(run(chain))\n"
-        "xs = run(choose(range(40000)))\n"
-        "print(len(xs), xs[0], xs[-1], sum(xs))\n"
-        "left = op(1)\n"
-        "for v in range(2, 40001):\n"
-        "    left = seq(left, op(v))\n"
-        "print(run(seq(left, close(Leaf))))\n"
-        "fails = rets = close(Leaf)\n"
-        "for v in range(40000, 0, -1):\n"
-        "    fails, rets = or_(fail(), fails), or_(Leaf(v), rets)\n"
-        "print(run(fails))\n"
-        "xs = run(rets)\n"
-        "print(len(xs), xs[0], xs[-2], sum(xs))\n"
-        % (op, close, name))
-    assert run_child(code) == expected
-
-
-def test_staged_runs_take_deep_inputs_without_raised_limit():
-    # run_nd and run_ndf on a 40 000-way choose, and states2state on a
-    # 40 000-long chain of puts that alternate between its two families,
-    # under the default limit, in a child process.
-    code = (
-        "from effsim.core import Leaf, get, put, choose\n"
-        "from effsim.handlers import h_nil, h_state\n"
-        "from effsim.translations import run_nd, run_ndf, states2state\n"
-        "xs = run_nd(choose(range(40000), at=0))\n"
-        "ys = h_nil(run_ndf(choose(range(40000), at=0)))\n"
-        "print(len(xs), xs[0], xs[-1], sum(xs), ys == xs)\n"
-        "t = get(Leaf, at=1)\n"
-        "for v in range(40000, 0, -1):\n"
-        "    t = put(v, at=v % 2, k=t)\n"
-        "print(h_nil(h_state(states2state(t), (0, 0))))\n")
-    out = run_child(code)
-    # The get reads the second family, last written by put 39999; the
-    # first family was last written by put 40000.
-    assert out == ("40000 0 39999 799980000 True\n"
-                   "(39999, (40000, 39999))\n")
-
-
-# A 40 000-long run of puts or updates under an or_, so that the one pop
-# at its leaf crosses 40 000 restore entries (sim) or trail deltas (simT),
-# under the default limit too.  Each leaf returns the state, so the local
-# row's (answer, state) pairs give both the answers and the states.
-_DEEP_POP = {
-    "sim": ("put", "get", "h_state(simulate_tree(t), ((None, None), 5))",
-            "state"),
-    "simT": ("update", "mget", "h_state(h_modify(simulate_t_tree(t), 5), "
-             "((None, None), None))", "modify"),
-}
-
-
-@pytest.mark.parametrize("name", list(_DEEP_POP))
-def test_one_pop_crosses_a_deep_run_without_raised_limit(name):
-    op, close, fused, family = _DEEP_POP[name]
-    code = (
-        "from effsim.core import Leaf, seq, or_, %s as op, %s as close\n"
-        "from effsim.handlers import h_state, h_modify, h_nil, run_stack\n"
-        "from effsim.handlers import from_cells\n"
-        "from effsim.translations import simulate_tree, simulate_t_tree\n"
-        "chain = close(Leaf)\n"
-        "for v in range(40000, 0, -1):\n"
-        "    chain = seq(op(v), chain)\n"
-        "t = or_(chain, op(7, k=close(Leaf)))\n"
-        "local = h_nil(run_stack(t, ((%r, 0), ('nondet', 1)), (5,)))\n"
-        "a, ((xs, stack), other) = h_nil(%s)\n"
-        "print(repr((local, from_cells(xs), stack, a, from_cells(other)\n"
-        "            if %r == 'modify' else other)))\n"
-        % (op, close, family, fused, family))
-    out = run_child(code)
-    local, xs, stack, a, other = ast.literal_eval(out)
-    assert xs == [x for x, _s in local] and stack is None
-    if name == "sim":
-        # put 7's restore entry is crossed by the last pop: u is back to 5.
-        assert local == [(40000, 40000), (7, 7)]
-        assert (a, other) == ((), 5)
-    else:
-        # Nothing pops the right branch's delta: the trail ends with it,
-        # and the user state is the local row's last state.
-        assert local == [(800020005, 800020005), (12, 12)]
-        assert a == ((), local[-1][1]) and other == [7]
-
-
-# Two deep shapes that no law row merges, under the default limit too:
-# 40 000 puts or updates, each followed by a read, so that the one pop at
-# the first branch's leaf really crosses 40 000 restore entries (sim) or
-# trail deltas (simT); and a 40 000-way or chain of ret, fail and read arms,
-# each read arm writing and reading again.
-@pytest.mark.parametrize("name", list(_DEEP_POP))
-def test_deep_broken_runs_and_mixed_or_chain_without_raised_limit(name):
-    op, close, fused, family = _DEEP_POP[name]
-    code = (
-        "from effsim.core import Leaf, or_, fail, %s as op, %s as close\n"
-        "from effsim.handlers import h_state, h_modify, h_nil, run_stack\n"
-        "from effsim.handlers import from_cells\n"
-        "from effsim.translations import simulate_tree, simulate_t_tree\n"
-        "def run(t):\n"
-        "    local = h_nil(run_stack(t, ((%r, 0), ('nondet', 1)), (5,)))\n"
-        "    a, ((xs, stack), other) = h_nil(%s)\n"
-        "    return (local, from_cells(xs), stack, a, from_cells(other)\n"
-        "            if %r == 'modify' else other)\n"
-        "chain = close(Leaf)\n"
-        "for v in range(40000, 0, -1):\n"
-        "    chain = op(v, 0, close(lambda _s, c=chain: c))\n"
-        "print(repr(run(or_(chain, op(7, 0, close(Leaf))))))\n"
-        "arms = fail()\n"
-        "for i in range(40000, 0, -1):\n"
-        "    arms = or_((fail(), Leaf(i), close(lambda s, i=i: op(\n"
-        "        i, 0, close(lambda s2, s=s: Leaf((i, s, s2))))))[i %% 3],\n"
-        "               arms)\n"
-        "print(repr(run(arms)))\n"
-        % (op, close, family, fused, family))
-    out = run_child(code)
-    runs, chain = map(ast.literal_eval, out.splitlines())
-    for local, xs, stack, a, other in (runs, chain):
-        assert xs == [x for x, _s in local] and stack is None
-    local, _xs, _stack, a, other = runs
-    if name == "sim":
-        # The last pop crosses put 7's restore entry: u is back to 5.
-        assert local == [(40000, 40000), (7, 7)]
-        assert (a, other) == ((), 5)
-    else:
-        # Nothing pops the right branch's delta: the trail ends with it.
-        assert local == [(800020005, 800020005), (12, 12)]
-        assert a == ((), 12) and other == [7]
-    # Each read arm runs from 5 and writes i (sim) or 5 + i (simT); the
-    # pop that leaves it undoes that write.
-    local, _xs, _stack, a, other = chain
-    w = (lambda i: i) if name == "sim" else (lambda i: 5 + i)
-    assert local == [(i, 5) if i % 3 == 1 else ((i, 5, w(i)), w(i))
-                     for i in range(1, 40001) if i % 3 != 0]
-    assert (a, other) == (((), 5) if name == "sim" else (((), 5), []))
+# reaches it, so no pipeline recurses: test_long_inputs runs 40 000-long
+# inputs through each of them under the default recursion limit.
 
 
 # Each Get continuation a translation builds is a step function partially

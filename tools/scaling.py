@@ -15,16 +15,20 @@ updates; a left-nested or; put-then-or and update-then-or chains; or chains
 whose arms are a put or an update; balanced or trees over puts and over
 updates; choose xs >>= put and >>= update; a plain choose xs; an or spine
 whose arms alternate fail and ret v, the shape of queens' failed guards;
-and a chain of n puts of a third family, forwarded by every rung, reached
-under n pending choicepoints and closed by h_state after the rung.  A state
+a chain of n puts of a third family, forwarded by every rung, reached
+under n pending choicepoints and closed by h_state after the rung; the same
+chain with no pending choicepoint, a linear control for it; and or spines
+of n fail arms and of n ret arms, each closed by a get or an mget.  A state
 shape runs through the state rungs, a modify shape through the modify
 rungs, and a shape with neither through both, each rung as
-effsim.queens.RUNGS defines it.
+effsim.queens.RUNGS defines it.  Each shape also states its answer as a
+closed form of n, which tests/test_long_inputs.py reads at its own sizes.
 """
 
 import os
 import sys
 import time
+from collections import namedtuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -40,7 +44,7 @@ from effsim.queens import (  # noqa: E402
 N, K = 2000, 3  # the smaller size, and the runs of which the best is kept
 
 
-def _chain(n, op, end):
+def chain(n, op, end):
     """op(1, op(2, ... op(n, end)))."""
     t = end
     for v in range(n, 0, -1):
@@ -76,7 +80,7 @@ def _balanced(n, leaf):
 def _forwarded(n):
     """n puts at index 2, left-nested under n or_s: n pending choicepoints
     when the chain is reached."""
-    t = _chain(n, lambda v, k: put(v, at=2, k=k), ret(0))
+    t = chain(n, lambda v, k: put(v, at=2, k=k), ret(0))
     for v in range(1, n + 1):
         t = or_(t, ret(v))
     return t
@@ -84,47 +88,81 @@ def _forwarded(n):
 
 BOTH = STATE + MODIFY
 
-# name -> (tree builder of n, rungs, whether h_state closes a third family)
+
+def _spine(n, arm, end):
+    """arm(1) | (arm(2) | ... | (arm(n) | end))."""
+    return chain(n, lambda v, k: or_(arm(v), k), end)
+
+
+def _upto(n):
+    """[1 .. n]."""
+    return list(range(1, n + 1))
+
+
+def tri(n):
+    """1 + 2 + ... + n, the state after updates 1 .. n from 0."""
+    return n * (n + 1) // 2
+
+
+# The tree builder of n, the rungs, whether h_state closes a third family
+# after the rung, and the answer of run_cell at n from state 0.
+Shape = namedtuple("Shape", "build rungs forwarded answer")
+
 SHAPES = {
-    "put-chain": (lambda n: _chain(n, lambda v, k: put(v, k=k), get(Leaf)),
-                  STATE, False),
-    "update-chain": (lambda n: _chain(n, lambda v, k: update(v, k=k),
-                                      mget(Leaf)), MODIFY, False),
-    "left-seq-put": (lambda n: _left_seq(n, put, get(Leaf)), STATE, False),
-    "left-seq-update": (lambda n: _left_seq(n, update, mget(Leaf)), MODIFY,
-                        False),
-    "left-or": (_left_or, BOTH, False),
-    "put-then-or": (lambda n: _chain(n, lambda v, k: put(v, k=or_(ret(v), k)),
-                                     get(Leaf)), STATE, False),
-    "update-then-or": (lambda n: _chain(
-        n, lambda v, k: update(v, k=or_(ret(v), k)), mget(Leaf)),
-        MODIFY, False),
-    "or-put-arms": (lambda n: _chain(
-        n, lambda v, k: or_(put(v, k=get(Leaf)), k), fail()), STATE, False),
-    "or-update-arms": (lambda n: _chain(
-        n, lambda v, k: or_(update(v, k=mget(Leaf)), k), fail()),
-        MODIFY, False),
-    "balanced-put": (lambda n: _balanced(n, lambda v: put(v, k=get(Leaf))),
-                     STATE, False),
-    "balanced-update": (lambda n: _balanced(
-        n, lambda v: update(v, k=mget(Leaf))), MODIFY, False),
-    "choose-bind-put": (lambda n: seq(bind(choose(range(1, n + 1)), put),
-                                      get(Leaf)), STATE, False),
-    "choose-bind-update": (lambda n: seq(bind(choose(range(1, n + 1)),
-                                              update), mget(Leaf)),
-                           MODIFY, False),
-    "choose": (lambda n: choose(range(1, n + 1)), BOTH, False),
-    "fail-ret-spine": (lambda n: _chain(
-        n, lambda v, k: or_(ret(v) if v % 2 == 0 else fail(), k), fail()),
-        BOTH, False),
-    "forwarded": (_forwarded, BOTH, True),
+    "put-chain": Shape(lambda n: chain(n, lambda v, k: put(v, k=k),
+                                        get(Leaf)), STATE, False,
+                       lambda n: [n]),
+    "update-chain": Shape(lambda n: chain(n, lambda v, k: update(v, k=k),
+                                           mget(Leaf)), MODIFY, False,
+                          lambda n: [tri(n)]),
+    "left-seq-put": Shape(lambda n: _left_seq(n, put, get(Leaf)), STATE,
+                          False, lambda n: [n]),
+    "left-seq-update": Shape(lambda n: _left_seq(n, update, mget(Leaf)),
+                             MODIFY, False, lambda n: [tri(n)]),
+    "left-or": Shape(_left_or, BOTH, False, lambda n: list(range(n + 1))),
+    "put-then-or": Shape(lambda n: chain(
+        n, lambda v, k: put(v, k=or_(ret(v), k)), get(Leaf)), STATE, False,
+        lambda n: _upto(n) + [n]),
+    "update-then-or": Shape(lambda n: chain(
+        n, lambda v, k: update(v, k=or_(ret(v), k)), mget(Leaf)), MODIFY,
+        False, lambda n: _upto(n) + [tri(n)]),
+    "or-put-arms": Shape(lambda n: _spine(
+        n, lambda v: put(v, k=get(Leaf)), fail()), STATE, False, _upto),
+    "or-update-arms": Shape(lambda n: _spine(
+        n, lambda v: update(v, k=mget(Leaf)), fail()), MODIFY, False, _upto),
+    "balanced-put": Shape(lambda n: _balanced(
+        n, lambda v: put(v, k=get(Leaf))), STATE, False, _upto),
+    "balanced-update": Shape(lambda n: _balanced(
+        n, lambda v: update(v, k=mget(Leaf))), MODIFY, False, _upto),
+    "choose-bind-put": Shape(lambda n: seq(bind(choose(range(1, n + 1)), put),
+                                           get(Leaf)), STATE, False, _upto),
+    "choose-bind-update": Shape(lambda n: seq(bind(choose(range(1, n + 1)),
+                                                   update), mget(Leaf)),
+                                MODIFY, False, _upto),
+    "choose": Shape(lambda n: choose(range(1, n + 1)), BOTH, False, _upto),
+    "fail-ret-spine": Shape(lambda n: _spine(
+        n, lambda v: ret(v) if v % 2 == 0 else fail(), fail()), BOTH, False,
+        lambda n: list(range(2, n + 1, 2))),
+    "forwarded": Shape(_forwarded, BOTH, True,
+                       lambda n: (list(range(n + 1)), n)),
+    "forwarded-chain": Shape(lambda n: chain(
+        n, lambda v, k: put(v, at=2, k=k), get(Leaf, at=2)), BOTH, True,
+        lambda n: ([n], n)),
+    "fail-spine-get": Shape(lambda n: _spine(n, lambda v: fail(), get(Leaf)),
+                            STATE, False, lambda n: [0]),
+    "fail-spine-mget": Shape(lambda n: _spine(
+        n, lambda v: fail(), mget(Leaf)), MODIFY, False, lambda n: [0]),
+    "ret-spine-get": Shape(lambda n: _spine(n, ret, get(Leaf)), STATE, False,
+                           lambda n: _upto(n) + [0]),
+    "ret-spine-mget": Shape(lambda n: _spine(n, ret, mget(Leaf)), MODIFY,
+                            False, lambda n: _upto(n) + [0]),
 }
 
 
 def run_cell(shape, rung, t):
     """The answer of rung on t, a tree of shape, from state 0."""
     out = RUNGS[rung](t, 0, INT_UNDO)
-    return h_nil(h_state(out, 0) if SHAPES[shape][2] else out)
+    return h_nil(h_state(out, 0) if SHAPES[shape].forwarded else out)
 
 
 def best_time(shape, rung, n, k):
@@ -132,7 +170,7 @@ def best_time(shape, rung, n, k):
     tree built before its timer starts."""
     best = None
     for _ in range(k):
-        t = SHAPES[shape][0](n)
+        t = SHAPES[shape].build(n)
         start = time.process_time()
         run_cell(shape, rung, t)
         took = time.process_time() - start
@@ -144,7 +182,7 @@ def sweep(n, k):
     """One row (shape, rung, time at n, time at 4n, ratio) per cell."""
     rows = []
     for shape in SHAPES:
-        for rung in SHAPES[shape][1]:
+        for rung in SHAPES[shape].rungs:
             small, large = best_time(shape, rung, n, k), \
                 best_time(shape, rung, 4 * n, k)
             rows.append((shape, rung, small, large,
