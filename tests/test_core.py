@@ -3,6 +3,7 @@
 import ast
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -184,14 +185,16 @@ def test_show_tree_rejects_an_unknown_operation():
 
 def deep_tree_as_text():
     """Turn a 20 000-deep or chain into text twice, by repr and in the error
-    h_nd raises on it, and print both.  Run in a child: a text that
-    recursed through C-level formatting would overflow the C stack."""
+    h_nd raises on it, and print both, then the recursion limit they ran
+    under.  Run in a child: a text that recursed through C-level formatting
+    would overflow the C stack."""
     t = choose(range(20000), at=1)
     print(repr(t) == show_tree(t), len(repr(t)))
     try:
         h_nd(choose(range(20000), at=1))
     except ValueError as e:
         print(e)
+    print(sys.getrecursionlimit(), len(repr(t)))
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +206,11 @@ def deep_text():
 def test_repr_of_deep_tree_does_not_crash(deep_text):
     # repr prints the tree as show_tree does, which is a loop.
     assert deep_text[0] == "True 368896"
+
+
+def test_repr_of_deep_tree_under_default_recursion_limit(deep_text):
+    # show_tree is a loop, so the full text needs no raised recursion limit.
+    assert deep_text[2] == "1000 368896"
 
 
 def test_h_nd_rejects_deep_residual_without_crashing(deep_text):
